@@ -2,12 +2,13 @@
 
 Crossings act linearly on strand labels over the Laurent ring Z[s^±1, t^±1];
 the determinant of the resulting relation matrix, normalized up to units, is
-an invariant of the braid closure.
+an invariant of the braid closure. Braid matrices are the fold ``braids.act``
+over the identity's rows; presentations linearize through ``terms.linearize``.
 """
 
 from __future__ import annotations
 
-from .braids import BraidWord
+from .braids import BraidWord, act
 from .errors import DomainError
 from .laurent import (
     ONE,
@@ -18,31 +19,26 @@ from .laurent import (
     determinant,
     format_poly,
 )
-from .terms import BQPresentation, BQTerm
+from .terms import BQPresentation, linearize
 
 _S_INV = LaurentPoly.monomial(1, -1, 0)
 _T_INV = LaurentPoly.monomial(1, 0, -1)
 _ST_INV = LaurentPoly.monomial(1, -1, -1)
 
-
-def _m2(a, b, c, d) -> LaurentMatrix:
-    return LaurentMatrix([[a, b], [c, d]])
-
-
 _CROSSING_MATRICES = {
     # Positive upward crossing and its hat (strand-swapped) partner.
-    "A": _m2(ONE - S * T, T, S, LaurentPoly()),
-    "Ahat": _m2(LaurentPoly(), S, T, ONE - S * T),
+    "A": ((ONE - S * T, T), (S, LaurentPoly())),
+    "Ahat": ((LaurentPoly(), S), (T, ONE - S * T)),
     # Inverse crossing pair.
-    "B": _m2(LaurentPoly(), _S_INV, _T_INV, ONE - _ST_INV),
-    "Bhat": _m2(ONE - _ST_INV, _T_INV, _S_INV, LaurentPoly()),
+    "B": ((LaurentPoly(), _S_INV), (_T_INV, ONE - _ST_INV)),
+    "Bhat": ((ONE - _ST_INV, _T_INV), (_S_INV, LaurentPoly())),
     # Mixed-variable pair used by the horizontal-mirror symmetry.
-    "C": _m2(LaurentPoly(), _S_INV, T, _S_INV - T),
-    "Chat": _m2(_S_INV - T, T, _S_INV, LaurentPoly()),
-    "D": _m2(LaurentPoly(), S, _T_INV, S - _T_INV),
-    "Dhat": _m2(S - _T_INV, _T_INV, S, LaurentPoly()),
+    "C": ((LaurentPoly(), _S_INV), (T, _S_INV - T)),
+    "Chat": ((_S_INV - T, T), (_S_INV, LaurentPoly())),
+    "D": ((LaurentPoly(), S), (_T_INV, S - _T_INV)),
+    "Dhat": ((S - _T_INV, _T_INV), (S, LaurentPoly())),
     # Virtual crossing: plain swap.
-    "V": _m2(LaurentPoly(), ONE, ONE, LaurentPoly()),
+    "V": ((LaurentPoly(), ONE), (ONE, LaurentPoly())),
 }
 
 
@@ -52,7 +48,7 @@ def crossing_matrix(name: str) -> LaurentMatrix:
         m = _CROSSING_MATRICES[name]
     except KeyError:
         raise ValueError(f"unknown crossing matrix {name!r}") from None
-    return LaurentMatrix([row[:] for row in m.entries])
+    return LaurentMatrix([list(row) for row in m])
 
 
 def block_at(m2: LaurentMatrix, n: int, start: int) -> LaurentMatrix:
@@ -66,38 +62,37 @@ def block_at(m2: LaurentMatrix, n: int, start: int) -> LaurentMatrix:
     return out
 
 
+def _row_crossing(positive: str, negative: str):
+    def crossing(letter, x: list[LaurentPoly], y: list[LaurentPoly]):
+        name = "V" if letter.virtual else (positive if letter.exponent > 0 else negative)
+        (a, b), (c, d) = _CROSSING_MATRICES[name]
+        return (
+            [a * xk + b * yk for xk, yk in zip(x, y)],
+            [c * xk + d * yk for xk, yk in zip(x, y)],
+        )
+
+    return crossing
+
+
 def braid_matrix_up(w: BraidWord) -> LaurentMatrix:
     """Linearized upward action of the whole word on strand labels.
 
     The action is an anti-homomorphism, so each successive letter's block
-    multiplies on the left.
+    multiplies on the left: it rewrites two rows of the product so far.
     """
-    n = w.strands
-    out = LaurentMatrix.identity(n)
-    for letter in w.letters:
-        if letter.virtual:
-            name = "V"
-        else:
-            name = "A" if letter.exponent > 0 else "B"
-        out = block_at(crossing_matrix(name), n, letter.index - 1) @ out
-    return out
+    rows = LaurentMatrix.identity(w.strands).entries
+    return LaurentMatrix(act(w, rows, _row_crossing("A", "B")))
 
 
 def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
     """Linearized downward action of the whole word on strand labels.
 
     The downward action is a homomorphism, so blocks multiply on the right;
-    positions count from the top strand.
+    positions count from the top strand. Folding the letters last to first
+    puts each block on the left instead.
     """
-    n = w.strands
-    out = LaurentMatrix.identity(n)
-    for letter in w.letters:
-        if letter.virtual:
-            name = "V"
-        else:
-            name = "Bhat" if letter.exponent > 0 else "Ahat"
-        out = out @ block_at(crossing_matrix(name), n, n - 1 - letter.index)
-    return out
+    rows = LaurentMatrix.identity(w.strands).entries
+    return LaurentMatrix(act(w, rows, _row_crossing("Bhat", "Ahat"), down=True))
 
 
 def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
@@ -114,31 +109,12 @@ _LINEAR_RULES = {
 }
 
 
-def _linearize(term: BQTerm, mult: LaurentPoly, acc: dict[str, LaurentPoly]) -> None:
-    if term.is_gen:
-        acc[term.name] = acc.get(term.name, LaurentPoly()) + mult
-        return
-    left_mult, right_mult = _LINEAR_RULES[term.op]
-    _linearize(term.left, mult * left_mult, acc)
-    if right_mult is not None:
-        _linearize(term.right, mult * right_mult, acc)
-
-
 def relation_matrix_from_presentation(p: BQPresentation) -> LaurentMatrix:
     """Linearize each relation over Z[s^±1, t^±1]; one row per relation."""
-    index = {name: k for k, name in enumerate(p.generators)}
     rows = []
     for rel in p.relations:
-        acc: dict[str, LaurentPoly] = {}
-        _linearize(rel.lhs, ONE, acc)
-        neg: dict[str, LaurentPoly] = {}
-        _linearize(rel.rhs, ONE, neg)
-        row = [LaurentPoly() for _ in p.generators]
-        for name, coeff in acc.items():
-            row[index[name]] = row[index[name]] + coeff
-        for name, coeff in neg.items():
-            row[index[name]] = row[index[name]] - coeff
-        rows.append(row)
+        coeffs = linearize([(rel.lhs, ONE), (rel.rhs, -ONE)], _LINEAR_RULES)
+        rows.append([coeffs.get(name, LaurentPoly()) for name in p.generators])
     return LaurentMatrix(rows)
 
 

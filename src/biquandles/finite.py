@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .quaternion import Quaternion, is_prime, left_matrix
-
-OPS = ("ur", "lr", "ul", "ll")
+from .quaternion import OP_COEFFS, Quaternion, is_prime, left_matrix
+from .terms import OPS
 
 # Existential axioms search an (a-block, x) or (a-block, b, x) cube; blocks
 # keep peak memory near this many entries regardless of carrier size.
@@ -322,15 +321,7 @@ def finite_quaternionic_biquandle(p: int) -> FiniteBiquandle:
         right_part = coeffs @ np.array(left_matrix(right_q), dtype=np.int64).T
         return encode(left_part[:, None, :] + right_part[None, :, :])
 
-    i = Quaternion(0, 1)
-    j = Quaternion(0, 0, 1)
-    one = Quaternion(1)
-    tables = {
-        "ur": table(i, i + j),
-        "lr": table(-i, i + j),
-        "ul": table(i, one - j),
-        "ll": table(-i, one - j),
-    }
+    tables = {op: table(*OP_COEFFS[op]) for op in OPS}
     labels = [
         Quaternion(int(wc), int(xc), int(yc), int(zc)).render().replace(" ", "")
         for wc, xc, yc, zc in coeffs

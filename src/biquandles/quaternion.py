@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .terms import BQPresentation, BQRelation, BQTerm, ll, lr, ul, ur
+from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, ul, ur
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class Quaternion:
     def reduce(self, p: int) -> "Quaternion":
         return Quaternion(self.w % p, self.x % p, self.y % p, self.z % p)
 
-    def is_zero(self) -> bool:
-        return not (self.w or self.x or self.y or self.z)
+    def __bool__(self) -> bool:
+        return bool(self.w or self.x or self.y or self.z)
 
     def render(self) -> str:
         parts = []
@@ -125,22 +125,7 @@ def q_linearize_term(term: BQTerm) -> dict[str, Quaternion]:
     Multipliers compose with the outer factor on the left, matching the
     order in which the operations nest.
     """
-    acc: dict[str, Quaternion] = {}
-
-    def walk(t: BQTerm, mult: Quaternion) -> None:
-        if t.is_gen:
-            total = acc.get(t.name, ZERO_Q) + mult
-            if total.is_zero():
-                acc.pop(t.name, None)
-            else:
-                acc[t.name] = total
-            return
-        left_c, right_c = OP_COEFFS[t.op]
-        walk(t.left, mult * left_c)
-        walk(t.right, mult * right_c)
-
-    walk(term, ONE_Q)
-    return acc
+    return linearize([(term, ONE_Q)], OP_COEFFS)
 
 
 class QRelationSet:
@@ -149,7 +134,7 @@ class QRelationSet:
     def __init__(self, generators: list[str], rows: list[dict[str, Quaternion]], modulus: int | None = None):
         self.generators = list(generators)
         self.rows = [
-            {name: q for name, q in row.items() if not q.is_zero()} for row in rows
+            {name: q for name, q in row.items() if q} for row in rows
         ]
         self.modulus = modulus
 
@@ -180,18 +165,7 @@ class QRelationSet:
 
 def q_relations_from_presentation(p: BQPresentation) -> QRelationSet:
     """Linearize every relation: coefficients of lhs minus coefficients of rhs."""
-    rows = []
-    for rel in p.relations:
-        lhs = q_linearize_term(rel.lhs)
-        rhs = q_linearize_term(rel.rhs)
-        row: dict[str, Quaternion] = dict(lhs)
-        for name, q in rhs.items():
-            total = row.get(name, ZERO_Q) - q
-            if total.is_zero():
-                row.pop(name, None)
-            else:
-                row[name] = total
-        rows.append(row)
+    rows = [linearize([(rel.lhs, ONE_Q), (rel.rhs, -ONE_Q)], OP_COEFFS) for rel in p.relations]
     return QRelationSet(p.generators, rows)
 
 

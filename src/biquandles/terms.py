@@ -3,6 +3,9 @@
 A term is either a generator or one of the four binary operations ur, lr,
 ul, ll applied to two terms. A presentation lists generators and relations
 between terms; closing a braid word yields one presentation per strand.
+Presentations and the Laurent braid matrices both come from the one fold
+``braids.act``; ``linearize`` is the one term walker behind both the Laurent
+and the quaternionic linearizations.
 
 Presentation text grammar (line oriented, ``#`` starts a comment):
 
@@ -19,7 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import permutations
 
-from .braids import BraidWord
+from .braids import BraidWord, act
 from .errors import DomainError, ParseError
 
 OPS = ("ur", "lr", "ul", "ll")
@@ -119,9 +122,16 @@ class BQPresentation:
 
 
 def _term_gens(t: BQTerm) -> set[str]:
-    if t.is_gen:
-        return {t.name}
-    return _term_gens(t.left) | _term_gens(t.right)
+    names: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.op is None:
+            names.add(t.name)
+        else:
+            stack.append(t.right)
+            stack.append(t.left)
+    return names
 
 
 _IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
@@ -129,22 +139,35 @@ _TOKEN_RE = re.compile(r"[a-z][a-z0-9]*|[(),=]|\S")
 
 
 def _parse_term(tokens: list[str], pos: int, declared: set[str]) -> tuple[BQTerm, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of term")
-    tok = tokens[pos]
-    if tok in OPS and pos + 1 < len(tokens) and tokens[pos + 1] == "(":
-        left, pos = _parse_term(tokens, pos + 2, declared)
-        if pos >= len(tokens) or tokens[pos] != ",":
-            raise ParseError(f"expected ',' in {tok}(...) term")
-        right, pos = _parse_term(tokens, pos + 1, declared)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ParseError(f"expected ')' closing {tok}(...) term")
-        return BQTerm.node(tok, left, right), pos + 1
-    if _IDENT_RE.match(tok):
+    # Iterative, so depth is bounded by memory; open_ops holds [op, left or None].
+    open_ops: list[list] = []
+    while True:
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of term")
+        tok = tokens[pos]
+        if tok in OPS and pos + 1 < len(tokens) and tokens[pos + 1] == "(":
+            open_ops.append([tok, None])
+            pos += 2
+            continue
+        if not _IDENT_RE.match(tok):
+            raise ParseError(f"unexpected token {tok!r} in term")
         if tok not in declared:
             raise ParseError(f"undeclared generator {tok!r}")
-        return BQTerm.gen(tok), pos + 1
-    raise ParseError(f"unexpected token {tok!r} in term")
+        term, pos = BQTerm.gen(tok), pos + 1
+        while open_ops:
+            op, left = open_ops[-1]
+            if left is None:
+                if pos >= len(tokens) or tokens[pos] != ",":
+                    raise ParseError(f"expected ',' in {op}(...) term")
+                open_ops[-1][1] = term
+                pos += 1
+                break
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise ParseError(f"expected ')' closing {op}(...) term")
+            open_ops.pop()
+            term, pos = BQTerm.node(op, left, term), pos + 1
+        else:
+            return term, pos
 
 
 def parse_presentation(text: str) -> BQPresentation:
@@ -208,9 +231,12 @@ def apply_morphism(kind: str, pair: tuple[BQTerm, BQTerm]) -> tuple[BQTerm, BQTe
     raise ValueError(f"unknown morphism {kind!r}")
 
 
-def _act_at(kind: str, tup: tuple[BQTerm, ...], pos: int) -> tuple[BQTerm, ...]:
-    new = apply_morphism(kind, (tup[pos], tup[pos + 1]))
-    return tup[:pos] + new + tup[pos + 2 :]
+def _morphism_crossing(positive: str, negative: str):
+    def crossing(letter, a: BQTerm, b: BQTerm) -> tuple[BQTerm, BQTerm]:
+        kind = "tau" if letter.virtual else (positive if letter.exponent > 0 else negative)
+        return apply_morphism(kind, (a, b))
+
+    return crossing
 
 
 def braid_act_up(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
@@ -219,15 +245,7 @@ def braid_act_up(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
     The action is an anti-homomorphism on words, which is exactly this
     left-to-right fold. A letter with index i acts on slots i-1 and i.
     """
-    if len(tup) != w.strands:
-        raise ValueError(f"tuple length {len(tup)} does not match {w.strands} strands")
-    for letter in w.letters:
-        if letter.virtual:
-            kind = "tau"
-        else:
-            kind = "phi_u" if letter.exponent > 0 else "phi_u_inv"
-        tup = _act_at(kind, tup, letter.index - 1)
-    return tup
+    return tuple(act(w, list(tup), _morphism_crossing("phi_u", "phi_u_inv")))
 
 
 def braid_act_down(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
@@ -237,15 +255,34 @@ def braid_act_down(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
     to left. Slot positions count from the top strand: a letter with index i
     acts on slots n-1-i and n-i.
     """
-    if len(tup) != w.strands:
-        raise ValueError(f"tuple length {len(tup)} does not match {w.strands} strands")
-    for letter in reversed(w.letters):
-        if letter.virtual:
-            kind = "tau"
-        else:
-            kind = "phi_d" if letter.exponent > 0 else "phi_d_inv"
-        tup = _act_at(kind, tup, w.strands - 1 - letter.index)
-    return tup
+    return tuple(act(w, list(tup), _morphism_crossing("phi_d", "phi_d_inv"), down=True))
+
+
+def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
+    """Coefficient of each generator in the sum of ``c * term`` over (term, c).
+
+    ``rules`` maps each operation to its (left, right) multipliers; a right
+    multiplier of None drops that operand. The outer factor multiplies on the
+    left, which keeps quaternion order. Ring elements are false exactly when
+    zero; zero totals are left out. Iterative, so depth is bounded by memory.
+    """
+    acc: dict = {}
+    stack = pairs[::-1]
+    while stack:
+        t, mult = stack.pop()
+        if t.op is None:
+            total = acc.get(t.name)
+            total = mult if total is None else total + mult
+            if total:
+                acc[t.name] = total
+            else:
+                acc.pop(t.name, None)
+            continue
+        left_mult, right_mult = rules[t.op]
+        if right_mult is not None:
+            stack.append((t.right, mult * right_mult))
+        stack.append((t.left, mult * left_mult))
+    return acc
 
 
 def generator_names(n: int) -> list[str]:

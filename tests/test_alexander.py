@@ -17,6 +17,25 @@ from biquandles.laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, form
 from biquandles.terms import parse_presentation, presentation_from_braid
 
 
+def seeded_words(count):
+    """Seeded random words with 2 to 6 strands and 0 to 12 letters."""
+    for seed in range(count):
+        yield random_braid(2 + seed % 5, seed % 13, seed)
+
+
+def block_product(w, names, down):
+    """The braid matrix as a product of embedded n x n crossing blocks."""
+    n = w.strands
+    out = LaurentMatrix.identity(n)
+    for letter in w.letters:
+        name = "V" if letter.virtual else names[letter.exponent]
+        if down:
+            out = out @ block_at(crossing_matrix(name), n, n - 1 - letter.index)
+        else:
+            out = block_at(crossing_matrix(name), n, letter.index - 1) @ out
+    return out
+
+
 def reversal_matrix(n):
     rows = [[ONE if j == n - 1 - i else ZERO for j in range(n)] for i in range(n)]
     return LaurentMatrix(rows)
@@ -92,6 +111,11 @@ class TestBraidMatrices:
         expected = block_at(crossing_matrix("Bhat"), 3, 1)
         assert braid_matrix_down(w) == expected
 
+    def test_row_fold_matches_block_product(self):
+        for w in seeded_words(60):
+            assert braid_matrix_up(w) == block_product(w, {1: "A", -1: "B"}, down=False)
+            assert braid_matrix_down(w) == block_product(w, {1: "Bhat", -1: "Ahat"}, down=True)
+
     def test_up_matches_reversed_down_of_inverse(self):
         for seed in range(10):
             w = random_braid(4, 8, seed)
@@ -105,8 +129,7 @@ class TestRelationMatrices:
         assert m.entries == [[T - 1, ONE - S * T], [ZERO, S - 1]]
 
     def test_presentation_linearization_matches_braid(self):
-        for seed in range(8):
-            w = random_braid(3, 7, seed)
+        for w in [random_braid(3, 7, seed) for seed in range(8)] + list(seeded_words(60)):
             from_braid = relation_matrix_from_braid(w)
             from_pres = relation_matrix_from_presentation(presentation_from_braid(w))
             assert from_braid == from_pres

@@ -103,6 +103,17 @@ class TestQcheck:
         assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["gap", "qcheck"])
+def test_deeply_nested_presentation(capsys, tmp_path, command):
+    """Parsing and linearizing do not recurse per nesting level."""
+    depth = 1200
+    path = tmp_path / "deep.bq"
+    path.write_text("gens a\nrel " + "ur(" * depth + "a" + ",a)" * depth + " = a\n")
+    code, out, err = invoke(capsys, command, "--presentation", str(path))
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
+
+
 class TestInvariance:
     def test_reports_pass(self, capsys):
         code, out, err = invoke(
