@@ -100,8 +100,9 @@ def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
     return braid_matrix_up(w) - LaurentMatrix.identity(w.strands)
 
 
-_LINEAR_RULES = {
-    # op name -> (left multiplier, right multiplier or None when absent)
+# Left and right multipliers of each operation's linearization; a right
+# multiplier of None means the operation ignores its right operand.
+OP_COEFFS = {
     "ur": (T, ONE - S * T),
     "lr": (S, None),
     "ul": (_T_INV, ONE - _ST_INV),
@@ -113,7 +114,7 @@ def relation_matrix_from_presentation(p: BQPresentation) -> LaurentMatrix:
     """Linearize each relation over Z[s^±1, t^±1]; one row per relation."""
     rows = []
     for rel in p.relations:
-        coeffs = linearize([(rel.lhs, ONE), (rel.rhs, -ONE)], _LINEAR_RULES)
+        coeffs = linearize([(rel.lhs, ONE), (rel.rhs, -ONE)], OP_COEFFS)
         rows.append([coeffs.get(name, LaurentPoly()) for name in p.generators])
     return LaurentMatrix(rows)
 

@@ -21,15 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from .alexander import OP_COEFFS as ALEXANDER_COEFFS
 from .errors import DomainError, ParseError
-from .quaternion import OP_COEFFS, Quaternion, is_prime, left_matrix
+from .quaternion import OP_COEFFS as QUATERNION_COEFFS, Quaternion, is_prime, left_matrix
 from .terms import OPS
 
-# Existential axioms search an (a-block, x) or (a-block, b, x) cube; blocks
-# keep peak memory near this many entries regardless of carrier size.
+# Sweeps walk blocks of their first variable; each block's array (up to an
+# (a-block, b, c) or (a-block, b, x) cube) keeps near this many entries
+# regardless of carrier size.
 _CHUNK_BUDGET = 1_000_000
 
 # Carriers above this need force=True; the cubes grow with the third power.
@@ -111,84 +114,29 @@ class AxiomReport:
         return self.render()
 
 
-def _chunks(m: int, per_a_cost: int):
-    step = max(1, _CHUNK_BUDGET // max(per_a_cost, 1))
-    for start in range(0, m, step):
-        yield start, min(start + step, m)
+def _check(B: FiniteBiquandle, name: str, arity: int, equations, exists: bool = False) -> AxiomCheck:
+    """Check that each equation holds for every arity-tuple (a, b, c)[:arity].
 
-
-def _check_single_exists(B: FiniteBiquandle, name: str, builder) -> AxiomCheck:
-    """Axioms of the form: for every a there is an x with builder(a, x) true.
-
-    builder takes column vectors A (k, 1) and X (1, m) and returns a boolean
-    (k, m) array; row a must contain at least one True.
+    Equations take one broadcast index grid per variable and return a boolean
+    array. With exists, a trailing variable x is added and a tuple passes
+    when some x satisfies the equation. Blocks of the first variable keep
+    each array near _CHUNK_BUDGET entries. The first failing tuple of the
+    first failing equation is reported; only universal axioms number it.
     """
     m = B.size
-    X = np.arange(m)[None, :]
-    for lo, hi in _chunks(m, m):
-        A = np.arange(lo, hi)[:, None]
-        ok = builder(A, X).any(axis=1)
-        if not ok.all():
-            a = lo + int(np.argmin(ok))
-            return AxiomCheck(name, False, f"a={B.label(a)}")
-    return AxiomCheck(name, True)
-
-
-def _check_pair_exists(B: FiniteBiquandle, name: str, builder) -> AxiomCheck:
-    """Axioms of the form: for all a, b there is an x making builder true.
-
-    builder takes index arrays A (k,1,1), Bv (1,m,1), X (1,1,m) and returns a
-    boolean (k, m, m) array; each (a, b) slice must contain a True.
-    """
-    m = B.size
-    Bv = np.arange(m)[None, :, None]
-    X = np.arange(m)[None, None, :]
-    for lo, hi in _chunks(m, m * m):
-        A = np.arange(lo, hi)[:, None, None]
-        ok = builder(A, Bv, X).any(axis=2)
-        if not ok.all():
-            a_off, b = np.argwhere(~ok)[0]
-            return AxiomCheck(
-                name, False, f"a={B.label(lo + int(a_off))} b={B.label(int(b))}"
-            )
-    return AxiomCheck(name, True)
-
-
-def _check_equations(B: FiniteBiquandle, name: str, var_names: str, equations) -> AxiomCheck:
-    """Universally quantified equation lists over 2 or 3 variables.
-
-    equations is a list of callables taking the broadcast index arrays and
-    returning a boolean array; the first failing equation (in order) is
-    reported with its first failing tuple.
-    """
-    m = B.size
-    arity = len(var_names)
+    dims = arity + exists
+    grids = [np.arange(m).reshape([m if j == k else 1 for j in range(dims)]) for k in range(dims)]
+    step = max(1, _CHUNK_BUDGET // m ** (dims - 1))
     for eq_no, equation in enumerate(equations, start=1):
-        if arity == 2:
-            A = np.arange(m)[:, None]
-            Bv = np.arange(m)[None, :]
-            ok = equation(A, Bv)
+        for lo in range(0, m, step):
+            ok = equation(grids[0][lo : lo + step], *grids[1:])
+            if exists:
+                ok = ok.any(axis=-1)
             if not ok.all():
-                a, b = np.argwhere(~ok)[0]
-                detail = f"a={B.label(int(a))} b={B.label(int(b))} (equation {eq_no})"
-                return AxiomCheck(name, False, detail)
-        else:
-            Bv = np.arange(m)[None, :, None]
-            C = np.arange(m)[None, None, :]
-            failed = None
-            for lo, hi in _chunks(m, m * m):
-                A = np.arange(lo, hi)[:, None, None]
-                ok = equation(A, Bv, C)
-                if not ok.all():
-                    a_off, b, c = np.argwhere(~ok)[0]
-                    failed = (lo + int(a_off), int(b), int(c))
-                    break
-            if failed is not None:
-                a, b, c = failed
-                detail = (
-                    f"a={B.label(a)} b={B.label(b)} c={B.label(c)} (equation {eq_no})"
-                )
-                return AxiomCheck(name, False, detail)
+                first = np.argwhere(~ok)[0]
+                first[0] += lo
+                detail = " ".join(f"{var}={B.label(int(i))}" for var, i in zip("abc", first))
+                return AxiomCheck(name, False, detail if exists else f"{detail} (equation {eq_no})")
     return AxiomCheck(name, True)
 
 
@@ -203,82 +151,52 @@ def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
             f"carrier size {B.size} exceeds {MAX_CHECK_SIZE}; enable force to check anyway"
         )
     ur, lr, ul, ll = (B.tables[op] for op in OPS)
-    checks = []
+    return AxiomReport((
+        _check(B, "axiom1", 1, [lambda a, x: lr[ur[a, x], a] == a], exists=True),
+        _check(B, "axiom1.variant", 1, [lambda a, x: ll[ul[a, x], a] == a], exists=True),
+        _check(B, "axiom2", 1, [lambda a, x: (ll[a, x] == x) & (ul[x, a] == a)], exists=True),
+        _check(B, "axiom2.variant", 1, [lambda a, x: (lr[a, x] == x) & (ur[x, a] == a)], exists=True),
+        _check(B, "axiom3", 2, [
+            lambda a, b: ll[lr[a, b], ur[b, a]] == a,
+            lambda a, b: ul[ur[a, b], lr[b, a]] == a,
+            lambda a, b: ur[ul[a, b], ll[b, a]] == a,
+            lambda a, b: lr[ll[a, b], ul[b, a]] == a,
+        ]),
+        _check(B, "axiom4", 2, [
+            lambda a, b, x: (ur[a, ll[b, x]] == x) & (ul[x, b] == a) & (lr[ll[b, x], a] == b),
+        ], exists=True),
+        _check(B, "axiom4.variant", 2, [
+            lambda a, b, x: (ul[a, lr[b, x]] == x) & (ur[x, b] == a) & (ll[lr[b, x], a] == b),
+        ], exists=True),
+        _check(B, "axiom5", 3, [
+            lambda a, b, c: ur[ur[a, b], c] == ur[ur[a, lr[c, b]], ur[b, c]],
+            lambda a, b, c: lr[lr[a, b], c] == lr[lr[a, ur[c, b]], lr[b, c]],
+            lambda a, b, c: ur[lr[a, b], lr[c, ur[b, a]]] == lr[ur[a, c], ur[b, lr[c, a]]],
+        ]),
+        _check(B, "axiom5.variant", 3, [
+            lambda a, b, c: ul[ul[a, b], c] == ul[ul[a, ll[c, b]], ul[b, c]],
+            lambda a, b, c: ll[ll[a, b], c] == ll[ll[a, ul[c, b]], ll[b, c]],
+            lambda a, b, c: ul[ll[a, b], ll[c, ul[b, a]]] == ll[ul[a, c], ul[b, ll[c, a]]],
+        ]),
+    ))
 
-    checks.append(
-        _check_single_exists(B, "axiom1", lambda A, X: lr[ur[A, X], A] == A)
-    )
-    checks.append(
-        _check_single_exists(B, "axiom1.variant", lambda A, X: ll[ul[A, X], A] == A)
-    )
-    checks.append(
-        _check_single_exists(
-            B, "axiom2", lambda A, X: (ll[A, X] == X) & (ul[X, A] == A)
-        )
-    )
-    checks.append(
-        _check_single_exists(
-            B, "axiom2.variant", lambda A, X: (lr[A, X] == X) & (ur[X, A] == A)
-        )
-    )
-    checks.append(
-        _check_equations(
-            B,
-            "axiom3",
-            "ab",
-            [
-                lambda A, Bv: ll[lr[A, Bv], ur[Bv, A]] == A,
-                lambda A, Bv: ul[ur[A, Bv], lr[Bv, A]] == A,
-                lambda A, Bv: ur[ul[A, Bv], ll[Bv, A]] == A,
-                lambda A, Bv: lr[ll[A, Bv], ul[Bv, A]] == A,
-            ],
-        )
-    )
-    checks.append(
-        _check_pair_exists(
-            B,
-            "axiom4",
-            lambda A, Bv, X: (ur[A, ll[Bv, X]] == X)
-            & (ul[X, Bv] == A)
-            & (lr[ll[Bv, X], A] == Bv),
-        )
-    )
-    checks.append(
-        _check_pair_exists(
-            B,
-            "axiom4.variant",
-            lambda A, Bv, X: (ul[A, lr[Bv, X]] == X)
-            & (ur[X, Bv] == A)
-            & (ll[lr[Bv, X], A] == Bv),
-        )
-    )
-    checks.append(
-        _check_equations(
-            B,
-            "axiom5",
-            "abc",
-            [
-                lambda A, Bv, C: ur[ur[A, Bv], C] == ur[ur[A, lr[C, Bv]], ur[Bv, C]],
-                lambda A, Bv, C: lr[lr[A, Bv], C] == lr[lr[A, ur[C, Bv]], lr[Bv, C]],
-                lambda A, Bv, C: ur[lr[A, Bv], lr[C, ur[Bv, A]]]
-                == lr[ur[A, C], ur[Bv, lr[C, A]]],
-            ],
-        )
-    )
-    checks.append(
-        _check_equations(
-            B,
-            "axiom5.variant",
-            "abc",
-            [
-                lambda A, Bv, C: ul[ul[A, Bv], C] == ul[ul[A, ll[C, Bv]], ul[Bv, C]],
-                lambda A, Bv, C: ll[ll[A, Bv], C] == ll[ll[A, ul[C, Bv]], ll[Bv, C]],
-                lambda A, Bv, C: ul[ll[A, Bv], ll[C, ul[Bv, A]]]
-                == ll[ul[A, C], ul[Bv, ll[C, A]]],
-            ],
-        )
-    )
-    return AxiomReport(tuple(checks))
+
+def _linear_biquandle(base: int, maps: dict, labels: list[str] | None = None) -> FiniteBiquandle:
+    """Tables of op(a, b) = L a + R b on base-``base`` digit vectors.
+
+    ``maps`` sends each operation to its (L, R) pair of d x d integer
+    matrices; element k of 0..base^d - 1 is the vector of its d digits, most
+    significant first.
+    """
+    d = len(maps["ur"][0])
+    weights = base ** np.arange(d - 1, -1, -1)
+    digits = np.arange(base ** d)[:, None] // weights % base
+
+    def table(L, R):
+        left, right = (digits @ np.array(M, dtype=np.int64).T for M in (L, R))
+        return (left[:, None, :] + right[None, :, :]) % base @ weights
+
+    return FiniteBiquandle({op: table(*maps[op]) for op in OPS}, labels)
 
 
 def finite_alexander_biquandle(m: int, s: int, t: int) -> FiniteBiquandle:
@@ -289,44 +207,20 @@ def finite_alexander_biquandle(m: int, s: int, t: int) -> FiniteBiquandle:
         raise DomainError(f"s={s} is not a unit mod {m}")
     if math.gcd(t, m) != 1:
         raise DomainError(f"t={t} is not a unit mod {m}")
-    s_inv = pow(s, -1, m)
-    t_inv = pow(t, -1, m)
-    A = np.arange(m)[:, None]
-    Bv = np.arange(m)[None, :]
-    tables = {
-        "ur": (t * A + (1 - s * t) * Bv) % m,
-        "lr": ((s * A) + 0 * Bv) % m,
-        "ul": (t_inv * A + (1 - s_inv * t_inv) * Bv) % m,
-        "ll": ((s_inv * A) + 0 * Bv) % m,
+    maps = {
+        op: tuple([[0 if c is None else c.evaluate_mod(s, t, m)]] for c in pair)
+        for op, pair in ALEXANDER_COEFFS.items()
     }
-    return FiniteBiquandle(tables)
+    return _linear_biquandle(m, maps)
 
 
 def finite_quaternionic_biquandle(p: int) -> FiniteBiquandle:
     """Quaternionic biquandle on the p^4 quaternions over Z_p, p an odd prime."""
     if not is_prime(p) or p == 2:
         raise DomainError(f"modulus must be an odd prime, got {p}")
-    n = p ** 4
-    idx = np.arange(n)
-    coeffs = np.stack(
-        [idx // p ** 3, (idx // p ** 2) % p, (idx // p) % p, idx % p], axis=1
-    )
-    weights = np.array([p ** 3, p ** 2, p, 1], dtype=np.int64)
-
-    def encode(vec):
-        return (vec % p) @ weights
-
-    def table(left_q: Quaternion, right_q: Quaternion):
-        left_part = coeffs @ np.array(left_matrix(left_q), dtype=np.int64).T
-        right_part = coeffs @ np.array(left_matrix(right_q), dtype=np.int64).T
-        return encode(left_part[:, None, :] + right_part[None, :, :])
-
-    tables = {op: table(*OP_COEFFS[op]) for op in OPS}
-    labels = [
-        Quaternion(int(wc), int(xc), int(yc), int(zc)).render().replace(" ", "")
-        for wc, xc, yc, zc in coeffs
-    ]
-    return FiniteBiquandle(tables, labels=labels)
+    maps = {op: tuple(left_matrix(q) for q in pair) for op, pair in QUATERNION_COEFFS.items()}
+    labels = [Quaternion(*c).render().replace(" ", "") for c in product(range(p), repeat=4)]
+    return _linear_biquandle(p, maps, labels)
 
 
 def parse_table_file(text: str) -> FiniteBiquandle:

@@ -89,6 +89,10 @@ class LaurentPoly:
         """Multiply by s^di * t^dj."""
         return LaurentPoly({(i + di, j + dj): c for (i, j), c in self.terms.items()})
 
+    def evaluate_mod(self, s: int, t: int, m: int) -> int:
+        """Value at (s, t) in Z_m; s and t must be units mod m."""
+        return sum(c * pow(s, i, m) * pow(t, j, m) for (i, j), c in self.terms.items()) % m
+
     def min_degrees(self) -> tuple[int, int]:
         """Smallest s-exponent and smallest t-exponent appearing (zero poly: (0, 0))."""
         if not self.terms:

@@ -246,8 +246,6 @@ def module_is_trivial(x, prime: int) -> tuple[bool, RankReport]:
         rset = x
     else:
         raise TypeError(f"expected a presentation or relation set, got {type(x).__name__}")
-    if not is_prime(prime):
-        raise DomainError(f"modulus must be prime, got {prime}")
     reduced = rset.reduce_mod(prime)
     matrix = scalar_restriction(reduced, prime)
     total = 4 * len(rset.generators)
@@ -332,8 +330,6 @@ def kishino_certificate(prime: int = 3) -> KishinoCertificate:
     of the symbolic presentation and flags that it does not reproduce the
     stored relations, so the discrepancy is visible rather than silent.
     """
-    if not is_prime(prime):
-        raise DomainError(f"modulus must be prime, got {prime}")
     pres = _kishino_presentation()
     reference = QRelationSet(pres.generators, [dict(row) for row in KISHINO_REFERENCE_ROWS])
     generic = q_relations_from_presentation(pres)

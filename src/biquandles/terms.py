@@ -28,12 +28,60 @@ from .errors import DomainError, ParseError
 OPS = ("ur", "lr", "ul", "ll")
 
 
-@dataclass(frozen=True)
+def _fold(term: "BQTerm", leaf, node):
+    """Bottom-up value of a term: leaf(t) at generators, node(t, left, right)
+    elsewhere. Each distinct operation node is evaluated once, so shared
+    subterms cost nothing extra. Iterative, so depth is bounded by memory.
+    """
+    done: dict[int, object] = {}
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if t.op is None:
+            done[id(t)] = leaf(t)
+        elif id(t) in done:
+            continue
+        elif id(t.left) in done and id(t.right) in done:
+            done[id(t)] = node(t, done[id(t.left)], done[id(t.right)])
+        else:
+            stack += (t, t.right, t.left)
+    return done[id(term)]
+
+
+# Equality, hashing and repr walk the term with ``_fold`` or an explicit
+# stack; the dataclass-generated ones recurse once per nesting level.
+@dataclass(frozen=True, eq=False, repr=False)
 class BQTerm:
     op: str | None = None
     name: str | None = None
     left: "BQTerm | None" = None
     right: "BQTerm | None" = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            if x.op != y.op or x.name != y.name:
+                return False
+            if x.op is not None:
+                seen.add((id(x), id(y)))
+                stack += ((x.right, y.right), (x.left, y.left))
+        return True
+
+    def __hash__(self) -> int:
+        return _fold(self, lambda t: hash(t.name), lambda t, a, b: hash((t.op, a, b)))
+
+    def __repr__(self) -> str:
+        return _fold(
+            self,
+            lambda t: f"BQTerm(op=None, name={t.name!r}, left=None, right=None)",
+            lambda t, a, b: f"BQTerm(op={t.op!r}, name=None, left={a}, right={b})",
+        )
 
     @classmethod
     def gen(cls, name: str) -> "BQTerm":
@@ -50,9 +98,7 @@ class BQTerm:
         return self.op is None
 
     def render(self) -> str:
-        if self.is_gen:
-            return self.name
-        return f"{self.op}({self.left.render()},{self.right.render()})"
+        return _fold(self, lambda t: t.name, lambda t, a, b: f"{t.op}({a},{b})")
 
     def __str__(self) -> str:
         return self.render()
@@ -319,9 +365,7 @@ def presentation_from_braid_down(w: BraidWord) -> BQPresentation:
 
 
 def _rename_term(t: BQTerm, mapping: dict[str, str]) -> BQTerm:
-    if t.is_gen:
-        return BQTerm.gen(mapping[t.name])
-    return BQTerm.node(t.op, _rename_term(t.left, mapping), _rename_term(t.right, mapping))
+    return _fold(t, lambda g: BQTerm.gen(mapping[g.name]), lambda t, a, b: BQTerm.node(t.op, a, b))
 
 
 def _relation_key(rel: BQRelation) -> tuple[str, str]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from biquandles import finite
 from biquandles.errors import DomainError, ParseError
 from biquandles.finite import (
     FiniteBiquandle,
@@ -61,6 +62,20 @@ class TestLinearTables:
         b = finite_alexander_biquandle(5, 2, 3)
         # ll(a,b) = s^-1 a with s^-1 = 3 mod 5
         assert b.apply("ll", 4, 1) == (3 * 4) % 5
+
+    @pytest.mark.parametrize("m,s,t", [(1, 3, 5), (7, -2, 3), (9, 4, -5), (16, -1, -7)])
+    def test_tables_follow_the_linear_rules(self, m, s, t):
+        b = finite_alexander_biquandle(m, s, t)
+        a, c = np.arange(m)[:, None], np.arange(m)[None, :]
+        s_inv, t_inv = pow(s, -1, m), pow(t, -1, m)
+        expected = {
+            "ur": t * a + (1 - s * t) * c,
+            "lr": s * a + 0 * c,
+            "ul": t_inv * a + (1 - s_inv * t_inv) * c,
+            "ll": s_inv * a + 0 * c,
+        }
+        for op, table in expected.items():
+            assert np.array_equal(b.tables[op], table % m), op
 
     def test_all_axioms_pass(self):
         assert check_axioms(finite_alexander_biquandle(5, 2, 3)).all_pass
@@ -130,6 +145,29 @@ class TestChecker:
         failing = [c for c in report.checks if not c.passed]
         assert failing
         assert any("p" in c.counterexample or "q" in c.counterexample for c in failing)
+
+
+class TestChunking:
+    def test_small_blocks_give_the_same_report(self, monkeypatch):
+        """Blocks of one first-variable value report what one block reports."""
+        rng = np.random.default_rng(11)
+        cases = []
+        for m, s, t in [(8, 3, 5), (11, 2, 3), (13, 4, 6), (13, -1, 2)] * 3:
+            tables = {op: table.copy() for op, table in finite_alexander_biquandle(m, s, t).tables.items()}
+            for _ in range(int(rng.integers(1, 4))):
+                op = ("ur", "lr", "ul", "ll")[int(rng.integers(4))]
+                a, b = (int(v) for v in rng.integers(m, size=2))
+                tables[op][a, b] = (tables[op][a, b] + int(rng.integers(1, m))) % m
+            cases.append(FiniteBiquandle(tables))
+        expected = [check_axioms(B) for B in cases]
+        # Every failure past a=0 lies beyond the first block below.
+        assert any(
+            not c.passed and c.counterexample.split()[0] != "a=0"
+            for report in expected
+            for c in report.checks
+        )
+        monkeypatch.setattr(finite, "_CHUNK_BUDGET", 7)
+        assert [check_axioms(B).render() for B in cases] == [r.render() for r in expected]
 
 
 class TestQuaternionicTables:

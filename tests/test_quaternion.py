@@ -146,7 +146,7 @@ class TestRank:
         assert fp_rank([[1, 0], [0, 1]], 5) == 2
 
     def test_requires_prime(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="modulus must be prime, got 4"):
             fp_rank([[1]], 4)
 
 
@@ -180,7 +180,7 @@ class TestTriviality:
 
     def test_requires_prime(self):
         pres = parse_presentation("gens a\nrel ur(a,a) = a\n")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="modulus must be prime, got 9"):
             module_is_trivial(pres, 9)
 
     def test_rejects_other_types(self):
@@ -220,5 +220,5 @@ class TestKishinoCertificate:
         assert "matches reference: no" in text
 
     def test_requires_prime(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="modulus must be prime, got 4"):
             kishino_certificate(prime=4)

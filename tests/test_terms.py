@@ -32,6 +32,23 @@ class TestTerms:
         t = ll(lr("a", "b"), ur("b", "a"))
         assert t.render() == "ll(lr(a,b),ur(b,a))"
 
+    def test_deep_terms_do_not_recurse(self):
+        depth = 1200
+        text = "gens a b\nrel " + "ur(" * depth + "a" + ",b)" * depth + " = a\n"
+        p, q = parse_presentation(text), parse_presentation(text)
+        assert p.render() == text
+        assert p == q and hash(p.relations[0]) == hash(q.relations[0])
+        assert p != parse_presentation(text.replace("ur(a,b)", "ur(b,b)"))
+        assert repr(p.relations[0].lhs).count("BQTerm(") == 2 * depth + 1
+        assert presentations_equal_up_to_renaming(p, q)
+        assert not presentations_equal_up_to_renaming(p, parse_presentation(text.replace(" = a", " = b")))
+
+    def test_repr_lists_fields(self):
+        assert repr(ur("a", "b")) == (
+            "BQTerm(op='ur', name=None, left=BQTerm(op=None, name='a', left=None, right=None),"
+            " right=BQTerm(op=None, name='b', left=None, right=None))"
+        )
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             BQTerm.node("up", A, B)
