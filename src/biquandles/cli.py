@@ -17,7 +17,13 @@ from .alexander import gap
 from .braids import available_moves, free_reduce, parse_braid_word, render_braid_word
 from .braids import ad_inversion, invert_braid, vertical_mirror
 from .errors import DomainError, ParseError
-from .finite import check_axioms, finite_alexander_biquandle, finite_quaternionic_biquandle, parse_table_file
+from .finite import (
+    check_axioms,
+    check_carrier_size,
+    finite_alexander_biquandle,
+    finite_quaternionic_biquandle,
+    parse_table_file,
+)
 from .laurent import format_poly
 from .quaternion import kishino_certificate, module_is_trivial
 from .terms import parse_presentation, presentation_from_braid, presentation_from_braid_down
@@ -106,8 +112,10 @@ def _parse_alexander_params(text: str) -> tuple[int, int, int]:
 def _cmd_axioms(args) -> int:
     if args.alexander is not None:
         m, s, t = _parse_alexander_params(args.alexander)
+        check_carrier_size(m, args.force)
         table = finite_alexander_biquandle(m, s, t)
     elif args.quaternionic is not None:
+        check_carrier_size(args.quaternionic**4, args.force)
         table = finite_quaternionic_biquandle(args.quaternionic)
     else:
         table = parse_table_file(_read_file(args.tables))

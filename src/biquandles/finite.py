@@ -140,16 +140,21 @@ def _check(B: FiniteBiquandle, name: str, arity: int, equations, exists: bool = 
     return AxiomCheck(name, True)
 
 
+def check_carrier_size(size: int, force: bool = False) -> None:
+    """Refuse a carrier of more than MAX_CHECK_SIZE elements unless force is
+    set: the checks quantify over triples, and the linear table builders
+    allocate about 2*d*size^2 int64 values."""
+    if size > MAX_CHECK_SIZE and not force:
+        raise DomainError(f"carrier size {size} exceeds {MAX_CHECK_SIZE}; enable force to check anyway")
+
+
 def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
     """Verify every biquandle axiom on the tables; report per-axiom results.
 
     Carriers larger than 100 elements are refused unless force is set, since
     several axioms quantify over triples.
     """
-    if B.size > MAX_CHECK_SIZE and not force:
-        raise DomainError(
-            f"carrier size {B.size} exceeds {MAX_CHECK_SIZE}; enable force to check anyway"
-        )
+    check_carrier_size(B.size, force)
     ur, lr, ul, ll = (B.tables[op] for op in OPS)
     return AxiomReport((
         _check(B, "axiom1", 1, [lambda a, x: lr[ur[a, x], a] == a], exists=True),

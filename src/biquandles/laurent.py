@@ -7,6 +7,11 @@ is no floating point anywhere in this module.
 
 from __future__ import annotations
 
+from functools import cache
+from math import isqrt, prod
+
+import numpy as np
+
 
 class LaurentPoly:
     __slots__ = ("terms",)
@@ -229,8 +234,238 @@ class LaurentMatrix:
         return f"LaurentMatrix[{body}]"
 
 
+# Primes stay below 2^26, so a product of two residues is below 2^52 and a sum
+# of _MAX_INNER such products is below 2^63: every int64 step is exact.
+_PRIME_BITS = 26
+_MAX_INNER = 1 << (63 - 2 * _PRIME_BITS)
+# The most int64 elements one block of the evaluation grid puts in one array;
+# a block shrinks to one grid point, never further.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+@cache
+def _prime(index: int) -> int:
+    """The index-th largest prime below 2^26 (index 0 is the largest), by
+    trial division."""
+    c = (1 << _PRIME_BITS) - 1 if index == 0 else _prime(index - 1) - 2
+    while not all(c % d for d in range(3, isqrt(c) + 1, 2)):
+        c -= 2
+    return c
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a @ b mod p in int64, summing at most _MAX_INNER products at a time."""
+    out = None
+    for lo in range(0, a.shape[-1], _MAX_INNER):
+        part = np.matmul(a[..., lo : lo + _MAX_INNER], b[..., lo : lo + _MAX_INNER, :]) % p
+        out = part if out is None else (out + part) % p
+    return out
+
+
+def _powers(points: np.ndarray, degree: int, p: np.ndarray) -> np.ndarray:
+    """out[r, x, k] = points[x]^k mod p[r] for k = 0..degree, doubling the
+    filled columns at each step."""
+    out = np.empty((len(p), len(points), degree + 1), dtype=np.int64)
+    out[..., 0] = 1
+    power = points % p[:, None]
+    filled = 1
+    while filled <= degree:
+        count = min(filled, degree + 1 - filled)
+        out[..., filled : filled + count] = out[..., :count] * power[..., None] % p[:, None, None]
+        power = power * power % p[:, None]
+        filled += count
+    return out
+
+
+def _inverse(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0."""
+    out = np.ones_like(x)
+    for bit in range(_PRIME_BITS):
+        out = np.where((p - 2) >> bit & 1, out * x % p, out)
+        x = x * x % p
+    return out
+
+
+def _eliminate(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of the matrices a[r, :, :, g] mod p[r], as num / den.
+
+    Each point takes its own pivot: where a[k, k] is zero, the first row below
+    with a nonzero in column k is added to row k. Rows below the pivot are
+    multiplied by it rather than divided, so den collects those factors and
+    the caller inverts it once per point. ``a`` is overwritten.
+    """
+    n = a.shape[1]
+    p2, p3, p4 = p[:, None], p[:, None, None], p[:, None, None, None]
+    num = np.ones((a.shape[0], a.shape[3]), dtype=np.int64)
+    den = np.ones_like(num)
+    for k in range(n):
+        first = (a[:, k:, k] != 0).argmax(axis=1)
+        if first.any():
+            below = np.take_along_axis(a[:, k:, k:], first[:, None, None, :], axis=1)[:, 0]
+            a[:, k, k:] = (a[:, k, k:] + below * (first > 0)[:, None, :]) % p3
+        pivot = a[:, k, k]
+        num = num * pivot % p2
+        if k + 1 < n:
+            den = den * num % p2
+            a[:, k + 1 :, k + 1 :] = (
+                a[:, k + 1 :, k + 1 :] * pivot[:, None, None]
+                - a[:, k + 1 :, k, None] * a[:, k, None, k + 1 :]
+            ) % p4
+    return num, den
+
+
+def _interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Coefficients, lowest degree first, of the polynomials of degree at most
+    D taking the values values[r, i, x] mod primes[r] at x = 0..D.
+
+    Newton's forward-difference form, f(x) = sum of (k-th difference at 0) / k!
+    times x(x-1)...(x-k+1), turned into monomials by Horner's rule: O(D^2)
+    work and O(D) memory per polynomial, no matrix inversion.
+    """
+    top = values.shape[-1] - 1
+    p3 = np.array(primes, dtype=np.int64)[:, None, None]
+    c = values.copy()
+    for k in range(1, top + 1):
+        c[..., k:] = c[..., k:] - c[..., k - 1 : -1]
+        # A difference at most doubles a magnitude: 2^26 * 2^32 stays exact.
+        if k % 32 == 0:
+            c[..., k:] %= p3
+    inv_fact = []
+    for q in primes:
+        fact = [1]
+        for k in range(1, top + 1):
+            fact.append(fact[-1] * k % q)
+        inv_fact.append([pow(f, -1, q) for f in fact])
+    c = c % p3 * np.array(inv_fact, dtype=np.int64)[:, None, :] % p3
+    # Horner from the top, highest degree first in ``out``.
+    out = np.zeros_like(c)
+    out[..., 0] = c[..., top]
+    for k in range(top - 1, -1, -1):
+        length = top - k
+        out[..., length] = c[..., k]
+        out[..., 1 : length + 1] -= k * out[..., :length]
+        out[..., 1 : length + 1] %= p3
+    return out[..., ::-1]
+
+
+def _line_degree_sum(line: np.ndarray, exp: np.ndarray, n: int) -> int:
+    """Sum over the n rows (or columns) of the largest exponent in each."""
+    top = np.zeros(n, dtype=np.int64)
+    np.maximum.at(top, line, exp)
+    return int(top.sum())
+
+
+def _grid_determinants(dense: np.ndarray, n: int, box_s: int, box_t: int, p: np.ndarray) -> np.ndarray:
+    """out[r, x, y] = det of the matrix at s = x, t = y, mod p[r].
+
+    ``dense[r, i*n + j, a, b]`` is the coefficient of s^a t^b in entry (i, j)
+    mod p[r]. The grid goes in blocks of t-points, each split into blocks
+    of s-points, so that no array of a block exceeds _BLOCK_ELEMENTS.
+    """
+    count, cells, deg_s, deg_t = dense.shape[0], n * n, dense.shape[2] - 1, dense.shape[3] - 1
+    dense = dense.reshape(count, cells * (deg_s + 1), deg_t + 1)
+    num = np.empty((count, box_s, box_t), dtype=np.int64)
+    den = np.empty_like(num)
+    step_t = min(box_t, max(1, _BLOCK_ELEMENTS // (count * max(deg_t + 1, cells * (deg_s + 1)))))
+    step_s = min(box_s, max(1, _BLOCK_ELEMENTS // (count * max(deg_s + 1, cells * step_t))))
+    for t0 in range(0, box_t, step_t):
+        ts = np.arange(t0, min(t0 + step_t, box_t))
+        at_t = _matmul_mod(dense, _powers(ts, deg_t, p).transpose(0, 2, 1), p[:, None, None])
+        at_t = at_t.reshape(count, cells, deg_s + 1, len(ts))
+        for s0 in range(0, box_s, step_s):
+            ss = np.arange(s0, min(s0 + step_s, box_s))
+            values = _matmul_mod(_powers(ss, deg_s, p)[:, None], at_t, p[:, None, None, None])
+            block_num, block_den = _eliminate(values.reshape(count, n, n, -1), p)
+            block = (count, len(ss), len(ts))
+            num[:, s0 : s0 + len(ss), t0 : t0 + len(ts)] = block_num.reshape(block)
+            den[:, s0 : s0 + len(ss), t0 : t0 + len(ts)] = block_den.reshape(block)
+    return num * _inverse(den, p[:, None, None]) % p[:, None, None]
+
+
 def determinant(m: LaurentMatrix) -> LaurentPoly:
-    """Exact determinant via fraction-free elimination.
+    """Exact determinant by evaluation modulo primes and interpolation.
+
+    1. Each row, then each column, is divided by the largest monomial that
+       divides it, so every entry is a polynomial; a zero row or column
+       gives 0.
+    2. Degree box: the determinant's s-degree is at most Ds, the smaller of
+       the sum over rows and the sum over columns of the largest s-exponent
+       in that row or column; its t-degree is at most Dt, likewise.
+    3. Coefficient bound: every coefficient is at most B in absolute value,
+       B the smaller of the product of the row L1 norms and the product of
+       the column L1 norms (a line's L1 norm sums the absolute values of all
+       coefficients in it).
+    4. The matrix is evaluated on the grid {0..Ds} x {0..Dt} modulo the
+       largest primes below 2^26, as many as make their product M exceed
+       2B, and every grid determinant mod every prime is eliminated in
+       batched int64 numpy arrays, block by block.
+    5. Newton interpolation along t, then along s, gives every coefficient
+       mod every prime, and the Chinese remainder theorem lifts it to the
+       symmetric range -M/2 < c < M/2, which holds it since |c| <= B.
+
+    All arithmetic is on integers (int64 residues and Python ints); no float
+    is used. Time grows as the number of primes times (Ds+1)(Dt+1) times
+    n^3 + Ds + Dt, memory as the number of primes times (Ds+1)(Dt+1).
+    """
+    if m.rows != m.cols:
+        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    if n == 0:
+        return ONE
+    cells = [
+        (i, j, es, et, c)
+        for i, row in enumerate(m.entries)
+        for j, poly in enumerate(row)
+        for (es, et), c in poly.terms.items()
+    ]
+    if not cells:
+        return LaurentPoly()
+    rows, cols, exp_s, exp_t, coeffs = zip(*cells)
+    row_norms, col_norms = [0] * n, [0] * n
+    for i, j, c in zip(rows, cols, coeffs):
+        row_norms[i] += abs(c)
+        col_norms[j] += abs(c)
+    bound = min(prod(row_norms), prod(col_norms))
+    rows, cols, exp_s, exp_t = (np.array(v, dtype=np.int64) for v in (rows, cols, exp_s, exp_t))
+    shift = [0, 0]
+    for line in (rows, cols):
+        if np.bincount(line, minlength=n).min() == 0:
+            return LaurentPoly()
+        for axis, exp in enumerate((exp_s, exp_t)):
+            low = np.full(n, exp.max())
+            np.minimum.at(low, line, exp)
+            exp -= low[line]
+            shift[axis] += int(low.sum())
+    box_s, box_t = (
+        min(_line_degree_sum(rows, exp, n), _line_degree_sum(cols, exp, n)) + 1 for exp in (exp_s, exp_t)
+    )
+    primes, modulus = [], 1
+    while modulus <= 2 * bound:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    dense = np.zeros((len(primes), n * n, int(exp_s.max()) + 1, int(exp_t.max()) + 1), dtype=np.int64)
+    for r, q in enumerate(primes):
+        dense[r, rows * n + cols, exp_s, exp_t] = [c % q for c in coeffs]
+    grid = _grid_determinants(dense, n, box_s, box_t, np.array(primes, dtype=np.int64))
+
+    # residues[r, b, a]: coefficient of s^a t^b mod primes[r]; lift the nonzero ones.
+    residues = _interpolate(_interpolate(grid, primes).transpose(0, 2, 1), primes)
+    at_t, at_s = np.nonzero(residues.any(axis=0))
+    lifted = 0
+    for q, res in zip(primes, residues[:, at_t, at_s]):
+        cofactor = modulus // q
+        lifted = lifted + res.astype(object) * (cofactor * pow(cofactor, -1, q))
+    half = modulus // 2
+    return LaurentPoly(
+        {
+            (a + shift[0], b + shift[1]): c - modulus if c > half else c
+            for a, b, c in zip(at_s.tolist(), at_t.tolist(), (lifted % modulus).tolist())
+        }
+    )
+
+
+def bareiss_determinant(m: LaurentMatrix) -> LaurentPoly:
+    """Exact determinant via fraction-free elimination over Z[s, t]; a test oracle.
 
     Each row is first scaled by a monomial to clear negative exponents (the
     scaling is undone at the end), then a Bareiss sweep keeps every
@@ -273,6 +508,8 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
     if sign < 0:
         det = -det
     return det.scale_by_monomial(shift_i, shift_j)
+
+
 
 
 def cofactor_determinant(m: LaurentMatrix) -> LaurentPoly:

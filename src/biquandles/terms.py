@@ -168,10 +168,16 @@ class BQPresentation:
 
 
 def _term_gens(t: BQTerm) -> set[str]:
+    # Visits each distinct node once: braid-built terms share subterms, and
+    # their unshared trees grow exponentially in the word length.
     names: set[str] = set()
+    seen: set[int] = set()
     stack = [t]
     while stack:
         t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
         if t.op is None:
             names.add(t.name)
         else:

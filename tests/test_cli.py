@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import biquandles
+from biquandles import cli
 from biquandles.cli import main, run
 
 # Child interpreters import the same package the tests imported, also from a
@@ -109,6 +111,33 @@ class TestAxioms:
         code, out, err = invoke(capsys, "axioms", "--quaternionic", "6")
         assert code == 2 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, size",
+        [(["--quaternionic", "11"], 14641), (["--alexander", "100000,1,1"], 100000)],
+    )
+    def test_large_carrier_refused_before_building(self, capsys, monkeypatch, argv, size):
+        def never(*args):
+            raise AssertionError("the table builder ran")
+
+        monkeypatch.setattr(cli, "finite_quaternionic_biquandle", never)
+        monkeypatch.setattr(cli, "finite_alexander_biquandle", never)
+        code, out, err = invoke(capsys, "axioms", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: carrier size {size} exceeds 100; enable force to check anyway\n"
+
+    @pytest.mark.parametrize("argv", [["--quaternionic", "11"], ["--alexander", "100000,1,1"]])
+    def test_force_still_builds_large_carriers(self, monkeypatch, argv):
+        class Built(Exception):
+            pass
+
+        def builder(*args):
+            raise Built
+
+        monkeypatch.setattr(cli, "finite_quaternionic_biquandle", builder)
+        monkeypatch.setattr(cli, "finite_alexander_biquandle", builder)
+        with pytest.raises(Built):
+            main(["axioms", *argv, "--force"])
+
 
 class TestQcheck:
     def test_kishino_golden(self, capsys):
@@ -132,7 +161,9 @@ def test_deeply_nested_presentation(capsys, tmp_path, command):
     depth = 1200
     path = tmp_path / "deep.bq"
     path.write_text("gens a\nrel " + "ur(" * depth + "a" + ",a)" * depth + " = a\n")
+    start = time.perf_counter()
     code, out, err = invoke(capsys, command, "--presentation", str(path))
+    assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "")
     assert out.count("\n") == 1
 

@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from biquandles import laurent
+from biquandles.alexander import relation_matrix_from_braid
+from biquandles.braids import random_braid
 from biquandles.laurent import (
     ONE,
     S,
@@ -10,6 +13,7 @@ from biquandles.laurent import (
     ZERO,
     LaurentMatrix,
     LaurentPoly,
+    bareiss_determinant,
     cofactor_determinant,
     determinant,
     format_poly,
@@ -169,3 +173,87 @@ class TestDeterminant:
             a = LaurentMatrix([[random_poly(rng, span=1) for _ in range(3)] for _ in range(3)])
             b = LaurentMatrix([[random_poly(rng, span=1) for _ in range(3)] for _ in range(3)])
             assert determinant(a @ b) == determinant(a) * determinant(b)
+
+
+def seeded_matrices(seed, count, max_n=4, coeff=4):
+    """Square matrices with negative exponents; some have a zero row, and some
+    are singular with every row nonzero (one row a monomial times another)."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(1, max_n)
+        rows = [
+            [
+                LaurentPoly({
+                    (rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-coeff, coeff)
+                    for _ in range(rng.randint(0, 3))
+                })
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        if n > 1 and k % 3 == 1:
+            i, j = rng.sample(range(n), 2)
+            rows[j][rng.randrange(n)] += ONE
+            rows[i] = [LaurentPoly.monomial(rng.choice((1, -2)), -1, 2) * p for p in rows[j]]
+        elif k % 5 == 2:
+            rows[rng.randrange(n)] = [ZERO] * n
+        out.append(LaurentMatrix(rows))
+    return out
+
+
+class TestModularDeterminant:
+    """``determinant`` (evaluation mod primes) against the two exact oracles."""
+
+    def test_matches_both_oracles_on_seeded_matrices(self):
+        matrices = seeded_matrices(7, 90)
+        singular = [m for m in matrices if not bareiss_determinant(m)]
+        assert any(all(any(p for p in row) for row in m.entries) for m in singular)
+        assert any(not any(p for p in row) for m in singular for row in m.entries)
+        for k, m in enumerate(matrices):
+            expected = bareiss_determinant(m)
+            assert expected == cofactor_determinant(m), k
+            assert determinant(m) == expected, k
+
+    def test_sizes_zero_and_one(self):
+        assert determinant(LaurentMatrix([])) == ONE
+        p = LaurentPoly({(-2, 1): 3, (1, -4): -5, (0, 0): 1})
+        assert determinant(LaurentMatrix([[p]])) == p
+        assert determinant(LaurentMatrix([[ZERO]])) == ZERO
+        assert determinant(LaurentMatrix([[LaurentPoly.monomial(-7, 3, -2)]])) == LaurentPoly.monomial(-7, 3, -2)
+
+    def test_large_coefficients_use_three_primes(self, monkeypatch):
+        rng = random.Random(40)
+        big = 1 << 40
+        requested = []
+        prime = laurent._prime
+        monkeypatch.setattr(laurent, "_prime", lambda index: requested.append(index) or prime(index))
+        for _ in range(6):
+            m = LaurentMatrix([
+                [LaurentPoly({(rng.randint(-1, 1), rng.randint(-1, 1)): rng.randint(-big, big)
+                              for _ in range(2)}) for _ in range(3)]
+                for _ in range(3)
+            ])
+            requested.clear()
+            assert determinant(m) == bareiss_determinant(m) == cofactor_determinant(m)
+            assert max(requested) >= 2
+
+    def test_matches_bareiss_on_braids_like_gap_dense(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            m = relation_matrix_from_braid(random_braid(rng.randint(4, 6), rng.randint(30, 45), seed))
+            assert determinant(m) == bareiss_determinant(m), seed
+
+    def test_blocks_of_one_point_give_the_same_determinant(self, monkeypatch):
+        matrices = seeded_matrices(8, 30, max_n=3, coeff=1 << 30)
+        matrices.append(relation_matrix_from_braid(random_braid(4, 12, 3)))
+        expected = [determinant(m) for m in matrices]
+        monkeypatch.setattr(laurent, "_BLOCK_ELEMENTS", 1)
+        assert [determinant(m) for m in matrices] == expected
+
+    def test_high_t_degree_splits_inner_products(self):
+        """A t-degree far above _MAX_INNER: one unsplit int64 product sum
+        would pass 2^63 at most grid points."""
+        f = LaurentPoly({(0, k): -1 for k in range(4500)})
+        m = LaurentMatrix([[f, ONE], [T, ONE]])
+        assert determinant(m) == cofactor_determinant(m) == f - T

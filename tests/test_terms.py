@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from biquandles.braids import invert_braid, parse_braid_word, random_braid
@@ -114,6 +116,17 @@ class TestPresentationText:
     def test_presentation_validates_generators(self):
         with pytest.raises(ValueError):
             BQPresentation(["a"], [BQRelation(ur("a", "b"), A)])
+
+    def test_generator_check_visits_shared_subterms_once(self):
+        """The tree below has 2^24 leaves but only 25 distinct nodes."""
+        t = A
+        for _ in range(24):
+            t = ur(t, t)
+        start = time.perf_counter()
+        BQPresentation(["a"], [BQRelation(t, A)])
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError):
+            BQPresentation(["a"], [BQRelation(t, ur(t, B))])
 
 
 class TestMorphisms:
