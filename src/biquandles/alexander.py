@@ -144,11 +144,11 @@ def gap(x) -> LaurentPoly:
     if isinstance(x, BraidWord):
         matrix = relation_matrix_from_braid(x)
     elif isinstance(x, BQPresentation):
-        matrix = relation_matrix_from_presentation(x)
-        if matrix.rows != matrix.cols:
+        if len(x.relations) != len(x.generators):
             raise DomainError(
-                f"need a square system, got {matrix.rows} relations for {matrix.cols} generators"
+                f"need a square system, got {len(x.relations)} relations for {len(x.generators)} generators"
             )
+        matrix = relation_matrix_from_presentation(x)
     else:
         raise TypeError(f"gap expects a braid word or presentation, got {type(x).__name__}")
     return normalize_gap(determinant(matrix))

@@ -8,6 +8,7 @@ is no floating point anywhere in this module.
 from __future__ import annotations
 
 from functools import cache
+from heapq import heapify, heappop, heappush
 from math import isqrt, prod
 
 import numpy as np
@@ -113,7 +114,9 @@ class LaurentPoly:
         Both operands are shifted to plain polynomials first, then reduced by
         the divisor's lexicographically largest term. Leading terms multiply,
         so every step strictly shrinks the remainder's leading term and an
-        exact quotient is found whenever one exists.
+        exact quotient is found whenever one exists. The remainder is one
+        dict updated in place, and a heap of its exponents (stale entries are
+        skipped) finds the leading term, so a step costs the divisor's size.
         """
         divisor = self._coerce(divisor)
         if not divisor.terms:
@@ -122,20 +125,33 @@ class LaurentPoly:
             return LaurentPoly()
         si, sj = self.min_degrees()
         di, dj = divisor.min_degrees()
-        num = self.scale_by_monomial(-si, -sj)
-        den = divisor.scale_by_monomial(-di, -dj)
-        lead = max(den.terms)
-        lead_c = den.terms[lead]
+        rem = {(i - si, j - sj): c for (i, j), c in self.terms.items()}
+        den = [((i - di, j - dj), c) for (i, j), c in divisor.terms.items()]
+        lead, lead_c = max(den)
+        heap = [(-i, -j) for i, j in rem]
+        heapify(heap)
         quo: dict[tuple[int, int], int] = {}
-        while num.terms:
-            top = max(num.terms)
-            top_c = num.terms[top]
+        while rem:
+            ni, nj = heappop(heap)
+            top = (-ni, -nj)
+            if top not in rem:
+                continue
+            top_c = rem[top]
             qi, qj = top[0] - lead[0], top[1] - lead[1]
             if qi < 0 or qj < 0 or top_c % lead_c:
                 raise ArithmeticError("inexact polynomial division")
             qc = top_c // lead_c
             quo[(qi, qj)] = qc
-            num = num - den * LaurentPoly.monomial(qc, qi, qj)
+            for (i, j), c in den:
+                key = (i + qi, j + qj)
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -qc * c
+                    heappush(heap, (-key[0], -key[1]))
+                elif old == qc * c:
+                    del rem[key]
+                else:
+                    rem[key] = old - qc * c
         return LaurentPoly(quo).scale_by_monomial(si - di, sj - dj)
 
 
@@ -387,7 +403,9 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
 
     1. Each row, then each column, is divided by the largest monomial that
        divides it, so every entry is a polynomial; a zero row or column
-       gives 0.
+       gives 0. When every s-exponent is a multiple of some g > 1, they are
+       divided by g and the result's are multiplied back (likewise for t),
+       so a sparse entry such as s^N - 1 costs two grid points, not N + 1.
     2. Degree box: the determinant's s-degree is at most Ds, the smaller of
        the sum over rows and the sum over columns of the largest s-exponent
        in that row or column; its t-degree is at most Dt, likewise.
@@ -405,7 +423,8 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
 
     All arithmetic is on integers (int64 residues and Python ints); no float
     is used. Time grows as the number of primes times (Ds+1)(Dt+1) times
-    n^3 + Ds + Dt, memory as the number of primes times (Ds+1)(Dt+1).
+    n^3 + Ds + Dt, memory as the number of primes times (Ds+1)(Dt+1), with
+    Ds and Dt taken after the division by g and h.
     """
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
@@ -436,6 +455,12 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
             np.minimum.at(low, line, exp)
             exp -= low[line]
             shift[axis] += int(low.sum())
+    # Entries in s^g (or t^h) only: work in u = s^g, whose determinant in u
+    # is the determinant in s with every exponent divided by g.
+    step = []
+    for exp in (exp_s, exp_t):
+        step.append(int(np.gcd.reduce(exp)) or 1)
+        exp //= step[-1]
     box_s, box_t = (
         min(_line_degree_sum(rows, exp, n), _line_degree_sum(cols, exp, n)) + 1 for exp in (exp_s, exp_t)
     )
@@ -458,7 +483,7 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
     half = modulus // 2
     return LaurentPoly(
         {
-            (a + shift[0], b + shift[1]): c - modulus if c > half else c
+            (a * step[0] + shift[0], b * step[1] + shift[1]): c - modulus if c > half else c
             for a, b, c in zip(at_s.tolist(), at_t.tolist(), (lifted % modulus).tolist())
         }
     )

@@ -5,7 +5,9 @@ ul, ll applied to two terms. A presentation lists generators and relations
 between terms; closing a braid word yields one presentation per strand.
 Presentations and the Laurent braid matrices both come from the one fold
 ``braids.act``; ``linearize`` is the one term walker behind both the Laurent
-and the quaternionic linearizations.
+and the quaternionic linearizations, and it visits each distinct node once.
+Parsed presentations are hash-consed: a subterm repeated anywhere in a file
+is one shared node, so the text's tree becomes a DAG.
 
 Presentation text grammar (line oriented, ``#`` starts a comment):
 
@@ -190,22 +192,28 @@ _IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9]*|[(),=]|\S")
 
 
-def _parse_term(tokens: list[str], pos: int, declared: set[str]) -> tuple[BQTerm, int]:
+def _parse_term(tokens: list[str], pos: int, declared: set[str], memo: dict) -> tuple[BQTerm, int]:
     # Iterative, so depth is bounded by memory; open_ops holds [op, left or None].
+    # ``memo`` interns generators by name and nodes by (op, id(left), id(right)),
+    # so a repeated subterm is one shared BQTerm. The memo keeps every node
+    # alive, so an id is never reused while it is a key.
     open_ops: list[list] = []
     while True:
         if pos >= len(tokens):
             raise ParseError("unexpected end of term")
         tok = tokens[pos]
-        if tok in OPS and pos + 1 < len(tokens) and tokens[pos + 1] == "(":
-            open_ops.append([tok, None])
-            pos += 2
-            continue
-        if not _IDENT_RE.match(tok):
-            raise ParseError(f"unexpected token {tok!r} in term")
-        if tok not in declared:
-            raise ParseError(f"undeclared generator {tok!r}")
-        term, pos = BQTerm.gen(tok), pos + 1
+        term = memo.get(tok)
+        if term is None:
+            if tok in OPS and pos + 1 < len(tokens) and tokens[pos + 1] == "(":
+                open_ops.append([tok, None])
+                pos += 2
+                continue
+            if not _IDENT_RE.match(tok):
+                raise ParseError(f"unexpected token {tok!r} in term")
+            if tok not in declared:
+                raise ParseError(f"undeclared generator {tok!r}")
+            term = memo[tok] = BQTerm.gen(tok)
+        pos += 1
         while open_ops:
             op, left = open_ops[-1]
             if left is None:
@@ -217,7 +225,11 @@ def _parse_term(tokens: list[str], pos: int, declared: set[str]) -> tuple[BQTerm
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ParseError(f"expected ')' closing {op}(...) term")
             open_ops.pop()
-            term, pos = BQTerm.node(op, left, term), pos + 1
+            key = (op, id(left), id(term))
+            node = memo.get(key)
+            if node is None:
+                node = memo[key] = BQTerm.node(op, left, term)
+            term, pos = node, pos + 1
         else:
             return term, pos
 
@@ -225,6 +237,7 @@ def _parse_term(tokens: list[str], pos: int, declared: set[str]) -> tuple[BQTerm
 def parse_presentation(text: str) -> BQPresentation:
     generators: list[str] | None = None
     relations: list[BQRelation] = []
+    memo: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -248,10 +261,10 @@ def parse_presentation(text: str) -> BQPresentation:
             body = line[len("rel") :].strip()
             tokens = _TOKEN_RE.findall(body)
             declared = set(generators)
-            lhs, pos = _parse_term(tokens, 0, declared)
+            lhs, pos = _parse_term(tokens, 0, declared, memo)
             if pos >= len(tokens) or tokens[pos] != "=":
                 raise ParseError(f"line {lineno}: expected '=' between relation sides")
-            rhs, pos = _parse_term(tokens, pos + 1, declared)
+            rhs, pos = _parse_term(tokens, pos + 1, declared, memo)
             if pos != len(tokens):
                 raise ParseError(f"line {lineno}: trailing tokens after relation")
             relations.append(BQRelation(lhs, rhs))
@@ -316,25 +329,47 @@ def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
     ``rules`` maps each operation to its (left, right) multipliers; a right
     multiplier of None drops that operand. The outer factor multiplies on the
     left, which keeps quaternion order. Ring elements are false exactly when
-    zero; zero totals are left out. Iterative, so depth is bounded by memory.
+    zero; zero totals are left out.
+
+    Each distinct node is visited once, so shared subterms cost one ring
+    multiplication per edge of the term DAG, not per path of its tree: an
+    iterative post-order lists the nodes, then each node's inflow (the sum
+    over its paths from the roots of the multiplier products) flows down to
+    its children, parents before children.
     """
-    acc: dict = {}
-    stack = pairs[::-1]
+    order: list[BQTerm] = []
+    entered: set[int] = set()
+    stack = [(t, False) for t, _ in reversed(pairs)]
     while stack:
-        t, mult = stack.pop()
-        if t.op is None:
-            total = acc.get(t.name)
-            total = mult if total is None else total + mult
-            if total:
-                acc[t.name] = total
-            else:
-                acc.pop(t.name, None)
+        t, children_done = stack.pop()
+        if children_done:
+            order.append(t)
+        elif t.op is not None and id(t) not in entered:
+            entered.add(id(t))
+            stack.append((t, True))
+            if rules[t.op][1] is not None:
+                stack.append((t.right, False))
+            stack.append((t.left, False))
+
+    inflow: dict = {}
+    acc: dict = {}
+
+    def add(t: BQTerm, mult) -> None:
+        table, key = (acc, t.name) if t.op is None else (inflow, id(t))
+        total = table.get(key)
+        table[key] = mult if total is None else total + mult
+
+    for t, mult in pairs:
+        add(t, mult)
+    for t in reversed(order):
+        flow = inflow.get(id(t))
+        if not flow:  # absent when every parent's flow was zero
             continue
         left_mult, right_mult = rules[t.op]
+        add(t.left, flow * left_mult)
         if right_mult is not None:
-            stack.append((t.right, mult * right_mult))
-        stack.append((t.left, mult * left_mult))
-    return acc
+            add(t.right, flow * right_mult)
+    return {name: total for name, total in acc.items() if total}
 
 
 def generator_names(n: int) -> list[str]:

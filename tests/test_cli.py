@@ -63,6 +63,14 @@ class TestGap:
         code, out, err = invoke(capsys, "gap", "--presentation", str(path))
         assert code == 2 and err.startswith("error: ")
 
+    def test_presentation_without_relations_exits_two(self, capsys, tmp_path):
+        """No relations used to give a 0x0 matrix, whose determinant 1 was printed."""
+        path = tmp_path / "norel.bq"
+        path.write_text("gens a b\n")
+        code, out, err = invoke(capsys, "gap", "--presentation", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: need a square system, got 0 relations for 2 generators\n"
+
     def test_requires_exactly_one_source(self, capsys):
         code, out, err = invoke(capsys, "gap")
         assert code == 1 and err.startswith("error: ")

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from biquandles import laurent
-from biquandles.alexander import relation_matrix_from_braid
+from biquandles.alexander import relation_matrix_from_braid, relation_matrix_from_presentation
 from biquandles.braids import random_braid
 from biquandles.laurent import (
     ONE,
@@ -18,12 +19,31 @@ from biquandles.laurent import (
     determinant,
     format_poly,
 )
+from biquandles.terms import parse_presentation
 
 exponents = st.integers(min_value=-3, max_value=3)
 coefficients = st.integers(min_value=-6, max_value=6)
 polys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=5
 ).map(LaurentPoly)
+
+
+def _divide_by_rebuilding(num, den):
+    """Reference exact division: one full polynomial subtraction per step."""
+    si, sj = num.min_degrees()
+    di, dj = den.min_degrees()
+    num = num.scale_by_monomial(-si, -sj)
+    den = den.scale_by_monomial(-di, -dj)
+    lead = max(den.terms)
+    quo = {}
+    while num:
+        top = max(num.terms)
+        qi, qj = top[0] - lead[0], top[1] - lead[1]
+        if qi < 0 or qj < 0 or num.terms[top] % den.terms[lead]:
+            raise ArithmeticError("inexact polynomial division")
+        quo[(qi, qj)] = num.terms[top] // den.terms[lead]
+        num = num - den * LaurentPoly.monomial(quo[(qi, qj)], qi, qj)
+    return LaurentPoly(quo).scale_by_monomial(si - di, sj - dj)
 
 
 def random_poly(rng, max_terms=3, span=2):
@@ -71,6 +91,37 @@ class TestArithmetic:
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):
             (S + 1).divide_exact(S - 1)
+
+    @given(polys, polys, polys)
+    def test_division_matches_rebuilding_reference(self, p, q, r):
+        """Same quotient, or the same ArithmeticError, as reducing by
+        rebuilding the whole remainder each step."""
+        if not q:
+            return
+        for num in (p * q, p * q + r):
+            try:
+                expected = _divide_by_rebuilding(num, q)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    num.divide_exact(q)
+            else:
+                assert num.divide_exact(q) == expected
+
+    def test_division_of_thousands_of_terms(self):
+        """A step costs the divisor's size: rebuilding a 4500-term remainder
+        each step took 1.7 s on this Bareiss sweep."""
+        f = LaurentPoly({(0, k): -1 for k in range(4500)})
+        m = LaurentMatrix([[f, ONE], [T, ONE]])
+        start = time.perf_counter()
+        assert bareiss_determinant(m) == f - T
+        assert time.perf_counter() - start < 0.5
+        rng = random.Random(3)
+        q = LaurentPoly({(rng.randint(0, 60), rng.randint(-30, 30)): rng.randint(-9, 9) for _ in range(1500)})
+        d = LaurentPoly({(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-9, 9) for _ in range(6)})
+        assert (q * d).divide_exact(d) == q
+        assert len(d.terms) > 1
+        with pytest.raises(ArithmeticError):
+            (q * d + ONE).divide_exact(d)
 
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -250,6 +301,37 @@ class TestModularDeterminant:
         expected = [determinant(m) for m in matrices]
         monkeypatch.setattr(laurent, "_BLOCK_ELEMENTS", 1)
         assert [determinant(m) for m in matrices] == expected
+
+    def test_sparse_entry_costs_two_points_not_its_degree(self):
+        """t^8000 + 1 is a polynomial in t^8000: its degree box is 2, not 8001."""
+        determinant(LaurentMatrix([[S + T]]))
+        m = LaurentMatrix([[LaurentPoly({(0, 8000): 1, (0, 0): 1})]])
+        start = time.perf_counter()
+        det = determinant(m)
+        assert time.perf_counter() - start < 0.1
+        assert det == bareiss_determinant(m)
+
+    def test_deep_ll_chain_entry(self):
+        """An N-deep ll(ll(...),a) chain linearizes to the entry s^-N - 1."""
+        depth = 2000
+        text = "gens a\nrel " + "ll(" * depth + "a" + ",a)" * depth + " = a\n"
+        m = relation_matrix_from_presentation(parse_presentation(text))
+        assert m.entries == [[LaurentPoly({(-depth, 0): 1, (0, 0): -1})]]
+        assert determinant(m) == bareiss_determinant(m)
+
+    def test_exponent_gcds_match_bareiss(self):
+        """Entries in s^g and t^h, after row and column shifts, for g, h up to 4."""
+        rng = random.Random(11)
+        for k in range(40):
+            g, h = rng.randint(1, 4), rng.randint(1, 4)
+            n = rng.randint(1, 3)
+            rows = [
+                [LaurentPoly({(g * rng.randint(-2, 2) + i, h * rng.randint(-2, 2) + j): rng.randint(-5, 5)
+                              for _ in range(rng.randint(0, 3))}) for _ in range(n)]
+                for i, j in [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            ]
+            m = LaurentMatrix(rows)
+            assert determinant(m) == bareiss_determinant(m), k
 
     def test_high_t_degree_splits_inner_products(self):
         """A t-degree far above _MAX_INNER: one unsplit int64 product sum

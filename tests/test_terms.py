@@ -1,10 +1,16 @@
+import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from biquandles import alexander, quaternion
 from biquandles.braids import invert_braid, parse_braid_word, random_braid
 from biquandles.errors import DomainError, ParseError
+from biquandles.laurent import LaurentPoly
+from biquandles.quaternion import Quaternion
 from biquandles.terms import (
+    OPS,
     BQPresentation,
     BQRelation,
     BQTerm,
@@ -12,6 +18,7 @@ from biquandles.terms import (
     braid_act_down,
     braid_act_up,
     generator_names,
+    linearize,
     ll,
     lr,
     parse_presentation,
@@ -24,6 +31,65 @@ from biquandles.terms import (
 
 A = BQTerm.gen("a")
 B = BQTerm.gen("b")
+
+
+def _linearize_tree(pairs, rules):
+    """Reference linearizer: one stack entry per path of the unshared tree."""
+    acc = {}
+    stack = pairs[::-1]
+    while stack:
+        t, mult = stack.pop()
+        if t.op is None:
+            total = acc.get(t.name)
+            total = mult if total is None else total + mult
+            if total:
+                acc[t.name] = total
+            else:
+                acc.pop(t.name, None)
+            continue
+        left_mult, right_mult = rules[t.op]
+        if right_mult is not None:
+            stack.append((t.right, mult * right_mult))
+        stack.append((t.left, mult * left_mult))
+    return acc
+
+
+def _distinct_nodes(pres):
+    """The node objects reachable from the relations, each once by identity."""
+    seen = {}
+    stack = [t for rel in pres.relations for t in (rel.lhs, rel.rhs)]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            if t.op is not None:
+                stack += (t.left, t.right)
+    return list(seen.values())
+
+
+# Ring elements for the linearizer property tests: zero, units, sums, and
+# (quaternions) non-commuting pairs.
+RINGS = {
+    "alexander": (
+        alexander.OP_COEFFS,
+        [LaurentPoly(), LaurentPoly.const(1), LaurentPoly.const(-2), LaurentPoly({(1, -1): 3, (0, 2): -1})],
+    ),
+    "quaternion": (
+        quaternion.OP_COEFFS,
+        [Quaternion(), Quaternion(1), Quaternion(0, 1, -1), Quaternion(2, 0, 1, -3)],
+    ),
+}
+
+
+def _shared_dag(steps, roots, ring):
+    """Terms built from steps (op, i, j): each new node joins two earlier
+    pool entries, so subterms are shared; 'a' appears as two distinct
+    generator objects. roots (k, c) pick pool entries and multipliers."""
+    pool = [BQTerm.gen("a"), BQTerm.gen("b"), BQTerm.gen("a"), BQTerm.gen("c")]
+    for op, i, j in steps:
+        pool.append(BQTerm.node(OPS[op % 4], pool[i % len(pool)], pool[j % len(pool)]))
+    mults = RINGS[ring][1]
+    return [(pool[k % len(pool)], mults[c % len(mults)]) for k, c in roots]
 
 
 class TestTerms:
@@ -127,6 +193,111 @@ class TestPresentationText:
         assert time.perf_counter() - start < 1.0
         with pytest.raises(ValueError):
             BQPresentation(["a"], [BQRelation(t, ur(t, B))])
+
+
+class TestInterningParser:
+    def test_repeated_subterms_are_one_object(self):
+        p = parse_presentation("gens a b\nrel ur(a,b) = a\nrel lr(ur(a,b),ur(a,b)) = b\n")
+        first, second = p.relations[0].lhs, p.relations[1].lhs
+        assert second.left is first and second.right is first
+        assert p.relations[0].rhs is first.left
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parsed_render_has_the_braid_built_nodes(self, seed):
+        built = presentation_from_braid(random_braid(3, 30, seed=seed))
+        parsed = parse_presentation(built.render())
+        assert parsed == built
+        assert len(_distinct_nodes(parsed)) == len(_distinct_nodes(built))
+
+    def test_round_trip_of_shared_dags(self):
+        """One node per distinct subterm, and the render comes back unchanged."""
+        rng = random.Random(9)
+        for k in range(100):
+            steps = [(rng.randrange(4), rng.randrange(64), rng.randrange(64)) for _ in range(rng.randint(1, 10))]
+            roots = [(rng.randrange(64), 0) for _ in range(2)]
+            text = "gens a b c\nrel " + " = ".join(t.render() for t, _ in _shared_dag(steps, roots, "alexander")) + "\n"
+            parsed = parse_presentation(text)
+            assert parsed.render() == text, k
+            nodes = _distinct_nodes(parsed)
+            assert len(nodes) == len({t.render() for t in nodes}), k
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rel ur(a,b) = a\n", "line 1: rel before gens"),
+            ("rel a = a\ngens a\n", "line 1: rel before gens"),
+            ("gens a\ngens b\n", "line 2: duplicate gens line"),
+            ("gens a a\n", "line 1: duplicate generator names"),
+            ("gens a\nrel ur(a,b) = a\n", "undeclared generator 'b'"),
+            ("gens a b\nrel ur(a,b) = ur(b,c)\n", "undeclared generator 'c'"),
+            ("gens ur\n", "line 1: bad generator name 'ur'"),
+            ("gens a b\nrel ur(a b) = a\n", "expected ',' in ur(...) term"),
+            ("gens a b\nrel ur(a,b) a\n", "line 2: expected '=' between relation sides"),
+            ("gens a b\nrel ur(a,b) = a b\n", "line 2: trailing tokens after relation"),
+            ("gens a b\nrel ur(a,ur(b,a)) = ur(a,ur(b,a)) x\n", "line 2: trailing tokens after relation"),
+            ("gens a\nrelation a = a\n", "undeclared generator 'ation'"),
+            ("gens a\nrel ur(a,a\n", "expected ')' closing ur(...) term"),
+            ("gens a\nrel ur(a,a) =\n", "unexpected end of term"),
+            ("gens a\nrel ur(a,) = a\n", "unexpected token ')' in term"),
+            ("gens a\nrel ur a = a\n", "undeclared generator 'ur'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_presentation(text)
+        assert str(info.value) == message
+
+
+class TestLinearize:
+    """``linearize`` visits each distinct node once; ``_linearize_tree``
+    walks every path and is the reference."""
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    def test_matches_tree_walk_on_seeded_dags(self, ring):
+        rng = random.Random(5)
+        rules = RINGS[ring][0]
+        for k in range(200):
+            steps = [(rng.randrange(4), rng.randrange(64), rng.randrange(64)) for _ in range(rng.randint(0, 10))]
+            roots = [(rng.randrange(64), rng.randrange(4)) for _ in range(rng.randint(1, 3))]
+            pairs = _shared_dag(steps, roots, ring)
+            assert linearize(pairs, rules) == _linearize_tree(pairs, rules), k
+
+    @given(
+        st.sampled_from(sorted(RINGS)),
+        st.lists(st.tuples(*[st.integers(0, 63)] * 3), max_size=10),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 3)), min_size=1, max_size=3),
+    )
+    def test_matches_tree_walk(self, ring, steps, roots):
+        pairs = _shared_dag(steps, roots, ring)
+        rules = RINGS[ring][0]
+        assert linearize(pairs, rules) == _linearize_tree(pairs, rules)
+
+    def test_one_multiplication_per_edge(self):
+        """t_{k+1} = ur(t_k, t_k) has k+1 distinct nodes and 2^k leaf paths."""
+
+        class Counted:
+            def __init__(self, value):
+                self.value = value
+
+            def __mul__(self, other):
+                products.append(None)
+                return Counted(self.value * other.value)
+
+            def __add__(self, other):
+                return Counted(self.value + other.value)
+
+            def __bool__(self):
+                return bool(self.value)
+
+        products = []
+        k = 20
+        t = A
+        for _ in range(k):
+            t = ur(t, t)
+        rules = {op: (Counted(2), Counted(3)) for op in OPS}
+        out = linearize([(t, Counted(1))], rules)
+        assert out["a"].value == 5**k
+        assert len(products) <= 2 * (k + 1)
 
 
 class TestMorphisms:
