@@ -2,29 +2,25 @@
 
 Crossings act linearly on strand labels over the Laurent ring Z[s^±1, t^±1];
 the determinant of the resulting relation matrix, normalized up to units, is
-an invariant of the braid closure. Braid matrices are the fold ``braids.act``
-over the identity's rows; presentations linearize through ``terms.linearize``.
+an invariant of the braid closure. Every matrix is ``terms.linearize`` with
+``OP_COEFFS`` applied to terms: relations, or a braid's term images under
+``braid_act_up``/``braid_act_down``, so the term morphisms state each crossing.
 """
 
 from __future__ import annotations
 
-from .braids import BraidWord, act
+from .braids import BraidWord
 from .errors import DomainError
-from .laurent import (
-    ONE,
-    S,
-    T,
-    LaurentMatrix,
-    LaurentPoly,
-    determinant,
-    format_poly,
-)
-from .terms import BQPresentation, linearize
+from .laurent import ONE, S, T, LaurentMatrix, LaurentPoly, determinant, format_poly
+from .terms import BQPresentation, BQTerm, braid_act_down, braid_act_up, generator_names
+from .terms import linearize, presentation_from_braid
 
 _S_INV = LaurentPoly.monomial(1, -1, 0)
 _T_INV = LaurentPoly.monomial(1, 0, -1)
 _ST_INV = LaurentPoly.monomial(1, -1, -1)
 
+# The printed 2x2 crossing matrices, kept as reference data: tests check the
+# linearized term morphisms against this table, and no computation reads it.
 _CROSSING_MATRICES = {
     # Positive upward crossing and its hat (strand-swapped) partner.
     "A": ((ONE - S * T, T), (S, LaurentPoly())),
@@ -62,44 +58,6 @@ def block_at(m2: LaurentMatrix, n: int, start: int) -> LaurentMatrix:
     return out
 
 
-def _row_crossing(positive: str, negative: str):
-    def crossing(letter, x: list[LaurentPoly], y: list[LaurentPoly]):
-        name = "V" if letter.virtual else (positive if letter.exponent > 0 else negative)
-        (a, b), (c, d) = _CROSSING_MATRICES[name]
-        return (
-            [a * xk + b * yk for xk, yk in zip(x, y)],
-            [c * xk + d * yk for xk, yk in zip(x, y)],
-        )
-
-    return crossing
-
-
-def braid_matrix_up(w: BraidWord) -> LaurentMatrix:
-    """Linearized upward action of the whole word on strand labels.
-
-    The action is an anti-homomorphism, so each successive letter's block
-    multiplies on the left: it rewrites two rows of the product so far.
-    """
-    rows = LaurentMatrix.identity(w.strands).entries
-    return LaurentMatrix(act(w, rows, _row_crossing("A", "B")))
-
-
-def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
-    """Linearized downward action of the whole word on strand labels.
-
-    The downward action is a homomorphism, so blocks multiply on the right;
-    positions count from the top strand. Folding the letters last to first
-    puts each block on the left instead.
-    """
-    rows = LaurentMatrix.identity(w.strands).entries
-    return LaurentMatrix(act(w, rows, _row_crossing("Bhat", "Ahat"), down=True))
-
-
-def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
-    """Closure relations in matrix form: the upward word action minus identity."""
-    return braid_matrix_up(w) - LaurentMatrix.identity(w.strands)
-
-
 # Left and right multipliers of each operation's linearization; a right
 # multiplier of None means the operation ignores its right operand.
 OP_COEFFS = {
@@ -110,13 +68,50 @@ OP_COEFFS = {
 }
 
 
+def _linear_rows(names: list[str], row_pairs) -> LaurentMatrix:
+    """One row per list of (term, multiplier) pairs: each generator's coefficient."""
+    rows = []
+    for pairs in row_pairs:
+        coeffs = linearize(pairs, OP_COEFFS)
+        rows.append([coeffs.get(name, LaurentPoly()) for name in names])
+    return LaurentMatrix(rows)
+
+
+def _braid_matrix(w: BraidWord, braid_act) -> LaurentMatrix:
+    names = generator_names(w.strands)
+    image = braid_act(w, tuple(BQTerm.gen(name) for name in names))
+    return _linear_rows(names, ([(t, ONE)] for t in image))
+
+
+def braid_matrix_up(w: BraidWord) -> LaurentMatrix:
+    """Linearized upward action of the whole word on strand labels.
+
+    Row i holds the coefficients of slot i's term under ``braid_act_up``. The
+    action is an anti-homomorphism, so each successive letter's block
+    multiplies on the left.
+    """
+    return _braid_matrix(w, braid_act_up)
+
+
+def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
+    """Linearized downward action of the whole word on strand labels.
+
+    Row i holds the coefficients of slot i's term under ``braid_act_down``.
+    The downward action is a homomorphism, so blocks multiply on the right;
+    positions count from the top strand.
+    """
+    return _braid_matrix(w, braid_act_down)
+
+
+def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
+    """Closure relations in matrix form: the upward word action minus identity."""
+    p = presentation_from_braid(w)
+    return _linear_rows(p.generators, ([(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations))
+
+
 def relation_matrix_from_presentation(p: BQPresentation) -> LaurentMatrix:
     """Linearize each relation over Z[s^±1, t^±1]; one row per relation."""
-    rows = []
-    for rel in p.relations:
-        coeffs = linearize([(rel.lhs, ONE), (rel.rhs, -ONE)], OP_COEFFS)
-        rows.append([coeffs.get(name, LaurentPoly()) for name in p.generators])
-    return LaurentMatrix(rows)
+    return _linear_rows(p.generators, ([(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations))
 
 
 def normalize_gap(p: LaurentPoly) -> LaurentPoly:

@@ -10,6 +10,7 @@ diagnostics go to stderr; stdout carries only canonical serializations.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -44,7 +45,9 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="biq", description="biquandle invariants of virtual braid closures")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

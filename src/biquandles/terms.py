@@ -242,10 +242,12 @@ def parse_presentation(text: str) -> BQPresentation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("gens"):
+        keyword = line.split(None, 1)[0]
+        rest = line[len(keyword) :]
+        if keyword == "gens":
             if generators is not None:
                 raise ParseError(f"line {lineno}: duplicate gens line")
-            names = line[len("gens") :].split()
+            names = rest.split()
             if not names:
                 raise ParseError(f"line {lineno}: gens line lists no generators")
             for name in names:
@@ -255,16 +257,18 @@ def parse_presentation(text: str) -> BQPresentation:
                 raise ParseError(f"line {lineno}: duplicate generator names")
             generators = names
             continue
-        if line.startswith("rel"):
+        if keyword == "rel":
             if generators is None:
                 raise ParseError(f"line {lineno}: rel before gens")
-            body = line[len("rel") :].strip()
-            tokens = _TOKEN_RE.findall(body)
+            tokens = _TOKEN_RE.findall(rest)
             declared = set(generators)
-            lhs, pos = _parse_term(tokens, 0, declared, memo)
-            if pos >= len(tokens) or tokens[pos] != "=":
-                raise ParseError(f"line {lineno}: expected '=' between relation sides")
-            rhs, pos = _parse_term(tokens, pos + 1, declared, memo)
+            try:
+                lhs, pos = _parse_term(tokens, 0, declared, memo)
+                if pos >= len(tokens) or tokens[pos] != "=":
+                    raise ParseError("expected '=' between relation sides")
+                rhs, pos = _parse_term(tokens, pos + 1, declared, memo)
+            except ParseError as e:
+                raise ParseError(f"line {lineno}: {e}") from None
             if pos != len(tokens):
                 raise ParseError(f"line {lineno}: trailing tokens after relation")
             relations.append(BQRelation(lhs, rhs))

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from biquandles.alexander import (
@@ -11,7 +14,7 @@ from biquandles.alexander import (
     relation_matrix_from_braid,
     relation_matrix_from_presentation,
 )
-from biquandles.braids import invert_braid, parse_braid_word, random_braid
+from biquandles.braids import BraidLetter, BraidWord, invert_braid, parse_braid_word, random_braid
 from biquandles.errors import DomainError
 from biquandles.laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, format_poly
 from biquandles.terms import parse_presentation, presentation_from_braid
@@ -21,6 +24,18 @@ def seeded_words(count):
     """Seeded random words with 2 to 6 strands and 0 to 12 letters."""
     for seed in range(count):
         yield random_braid(2 + seed % 5, seed % 13, seed)
+
+
+def chain_word(n, seed):
+    """Every index 1..n-1 once, in seeded order; two letters in three virtual."""
+    rng = random.Random(seed)
+    indices = list(range(1, n))
+    rng.shuffle(indices)
+    letters = [
+        BraidLetter(i, virtual=True) if rng.random() < 2 / 3 else BraidLetter(i, rng.choice((1, -1)))
+        for i in indices
+    ]
+    return BraidWord(n, tuple(letters))
 
 
 def block_product(w, names, down):
@@ -112,7 +127,7 @@ class TestBraidMatrices:
         assert braid_matrix_down(w) == expected
 
     def test_row_fold_matches_block_product(self):
-        for w in seeded_words(60):
+        for w in list(seeded_words(60)) + [chain_word(n, seed=n) for n in range(12, 21, 2)]:
             assert braid_matrix_up(w) == block_product(w, {1: "A", -1: "B"}, down=False)
             assert braid_matrix_down(w) == block_product(w, {1: "Bhat", -1: "Ahat"}, down=True)
 
@@ -127,6 +142,13 @@ class TestRelationMatrices:
     def test_virtual_hopf_braid_matrix(self):
         m = relation_matrix_from_braid(parse_braid_word("n=2; v1 s1"))
         assert m.entries == [[T - 1, ONE - S * T], [ZERO, S - 1]]
+
+    def test_wide_chain_builds_fast(self):
+        w = chain_word(400, 3)
+        start = time.perf_counter()
+        m = relation_matrix_from_braid(w)
+        assert time.perf_counter() - start < 1.0
+        assert m.rows == m.cols == 400
 
     def test_presentation_linearization_matches_braid(self):
         for w in [random_braid(3, 7, seed) for seed in range(8)] + list(seeded_words(60)):

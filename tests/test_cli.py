@@ -240,6 +240,28 @@ class TestTopLevel:
         assert run(["gap", "--braid", "n=2; v1 s1"]) == 0
         assert capsys.readouterr().out == "1 - s - t + s*t\n"
 
+    def test_cached_parser_matches_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        pres = tmp_path / "hopf.txt"
+        pres.write_text("gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n")
+        argvs = [
+            ["gap", "--braid", "n=2; v1 s1"],
+            ["present", "--braid", "n=3; s1 -s2 v1"],
+            ["gap", "--braid", "n=2; s9"],
+            ["axioms", "--alexander", "5,2,3"],
+            ["gap", "--braid", "n=2; s1", "--presentation", str(pres)],
+            ["qcheck", "--presentation", str(pres), "--prime", "4"],
+            ["nonsense"],
+            ["convert", "--braid", "n=3; s1 v2", "--op", "invert"],
+            ["qcheck", "--presentation", str(pres)],
+            ["gap", "--presentation", str(pres)],
+        ]
+        cli.build_parser.cache_clear()
+        cached = [invoke(capsys, *argv) for argv in argvs]
+        assert cli.build_parser.cache_info().misses == 1
+        assert {code for code, _, _ in cached} == {0, 1, 2}
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert [invoke(capsys, *argv) for argv in argvs] == cached
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "biquandles", "gap", "--braid", "n=2; v1 s1"],

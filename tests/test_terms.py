@@ -228,18 +228,20 @@ class TestInterningParser:
             ("rel a = a\ngens a\n", "line 1: rel before gens"),
             ("gens a\ngens b\n", "line 2: duplicate gens line"),
             ("gens a a\n", "line 1: duplicate generator names"),
-            ("gens a\nrel ur(a,b) = a\n", "undeclared generator 'b'"),
-            ("gens a b\nrel ur(a,b) = ur(b,c)\n", "undeclared generator 'c'"),
+            ("gens a\nrel ur(a,b) = a\n", "line 2: undeclared generator 'b'"),
+            ("gens a b\nrel ur(a,b) = ur(b,c)\n", "line 2: undeclared generator 'c'"),
             ("gens ur\n", "line 1: bad generator name 'ur'"),
-            ("gens a b\nrel ur(a b) = a\n", "expected ',' in ur(...) term"),
+            ("gens a b\nrel ur(a b) = a\n", "line 2: expected ',' in ur(...) term"),
             ("gens a b\nrel ur(a,b) a\n", "line 2: expected '=' between relation sides"),
             ("gens a b\nrel ur(a,b) = a b\n", "line 2: trailing tokens after relation"),
             ("gens a b\nrel ur(a,ur(b,a)) = ur(a,ur(b,a)) x\n", "line 2: trailing tokens after relation"),
-            ("gens a\nrelation a = a\n", "undeclared generator 'ation'"),
-            ("gens a\nrel ur(a,a\n", "expected ')' closing ur(...) term"),
-            ("gens a\nrel ur(a,a) =\n", "unexpected end of term"),
-            ("gens a\nrel ur(a,) = a\n", "unexpected token ')' in term"),
-            ("gens a\nrel ur a = a\n", "undeclared generator 'ur'"),
+            ("gens a\nrelation a = a\n", "line 2: expected 'gens' or 'rel', got 'relation a = a'"),
+            ("gens a\nrel ur(a,a\n", "line 2: expected ')' closing ur(...) term"),
+            ("gens a\nrel ur(a,a) =\n", "line 2: unexpected end of term"),
+            ("gens a\nrel ur(a,) = a\n", "line 2: unexpected token ')' in term"),
+            ("gens a\nrel ur a = a\n", "line 2: undeclared generator 'ur'"),
+            ("gensa b\n", "line 1: expected 'gens' or 'rel', got 'gensa b'"),
+            ("gens a b\nrelur(a,b) = a\n", "line 2: expected 'gens' or 'rel', got 'relur(a,b) = a'"),
         ],
     )
     def test_error_messages(self, text, message):
