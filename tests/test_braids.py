@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -180,6 +183,22 @@ class TestRelatorMoves:
     def test_sites_on_known_word(self):
         w = parse_braid_word("n=3; s1 s2 s1")
         assert ("braid", 0, 1) in relator_move_sites(w)
+
+    def test_site_counts_over_all_short_words(self):
+        """Golden counts over all 6561 words of 4 letters on 4 strands."""
+        counts = Counter()
+        for letters in product(letter_alphabet(4), repeat=4):
+            for family, _, direction in relator_move_sites(BraidWord(4, letters)):
+                counts[family, direction] += 1
+        assert counts == {
+            ("braid", 1): 72,
+            ("braid", -1): 72,
+            ("virtual", 1): 36,
+            ("virtual", -1): 36,
+            ("mixed", 1): 72,
+            ("mixed", -1): 72,
+            ("commute", 1): 4374,
+        }
 
 
 class TestMarkovMoves:
