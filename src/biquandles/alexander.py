@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .braids import BraidWord
 from .errors import DomainError
-from .laurent import ONE, S, T, LaurentMatrix, LaurentPoly, determinant, format_poly
+from .laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
 from .terms import BQPresentation, BQTerm, braid_act_down, braid_act_up, generator_names
 from .terms import linearize, presentation_from_braid
 
@@ -69,11 +69,15 @@ OP_COEFFS = {
 
 
 def _linear_rows(names: list[str], row_pairs) -> LaurentMatrix:
-    """One row per list of (term, multiplier) pairs: each generator's coefficient."""
+    """One row per list of (term, multiplier) pairs: each generator's coefficient.
+
+    Cells are shared objects (``ZERO``, and ``linearize``'s ``ONE`` and
+    ``OP_COEFFS`` entries), so no caller may change a cell's terms in place.
+    """
     rows = []
     for pairs in row_pairs:
         coeffs = linearize(pairs, OP_COEFFS)
-        rows.append([coeffs.get(name, LaurentPoly()) for name in names])
+        rows.append([coeffs.get(name, ZERO) for name in names])
     return LaurentMatrix(rows)
 
 

@@ -164,59 +164,24 @@ def _match_relator(family: str, window: tuple[BraidLetter, ...], direction: int)
         if len(window) != 2:
             return None
         a, b = window
-        if abs(a.index - b.index) < 2:
-            return None
-        return (b, a)
+        return (b, a) if abs(a.index - b.index) >= 2 else None
     if len(window) != 3:
         return None
     a, b, c = window
-    if family == "braid":
-        if not (not a.virtual and not b.virtual and not c.virtual):
-            return None
-        if not (a.exponent == b.exponent == c.exponent):
-            return None
-        e = a.exponent
-        if direction > 0 and a.index == c.index and b.index == a.index + 1:
-            i = a.index
-            return (sigma(i + 1, e), sigma(i, e), sigma(i + 1, e))
-        if direction < 0 and a.index == c.index and a.index >= 2 and b.index == a.index - 1:
-            i = b.index
-            return (sigma(i, e), sigma(i + 1, e), sigma(i, e))
-        return None
-    if family == "virtual":
-        if not (a.virtual and b.virtual and c.virtual):
-            return None
-        if direction > 0 and a.index == c.index and b.index == a.index + 1:
-            i = a.index
-            return (nu(i + 1), nu(i), nu(i + 1))
-        if direction < 0 and a.index == c.index and a.index >= 2 and b.index == a.index - 1:
-            i = b.index
-            return (nu(i), nu(i + 1), nu(i))
-        return None
+    if family in ("braid", "virtual"):
+        # x y x -> y x y: y is x's kind and exponent one strand up (direction
+        # > 0) or down (direction < 0), so the reverse move maps y x y back.
+        step = b.index - a.index
+        same_kind = a.virtual == b.virtual == (family == "virtual") and a.exponent == b.exponent
+        return (b, a, b) if a == c and same_kind and abs(step) == 1 and step * direction > 0 else None
     if family == "mixed":
         if direction > 0:
             # s_i^e v_{i+1} v_i  ->  v_{i+1} v_i s_{i+1}^e
-            if (
-                not a.virtual
-                and b.virtual
-                and c.virtual
-                and b.index == a.index + 1
-                and c.index == a.index
-            ):
-                i = a.index
-                return (nu(i + 1), nu(i), sigma(i + 1, a.exponent))
-        else:
-            # v_{i+1} v_i s_{i+1}^e  ->  s_i^e v_{i+1} v_i
-            if (
-                a.virtual
-                and b.virtual
-                and not c.virtual
-                and a.index == b.index + 1
-                and c.index == a.index
-            ):
-                i = b.index
-                return (sigma(i, c.exponent), nu(i + 1), nu(i))
-        return None
+            match = not a.virtual and b.virtual and c.virtual and b.index - 1 == a.index == c.index
+            return (b, c, sigma(b.index, a.exponent)) if match else None
+        # v_{i+1} v_i s_{i+1}^e  ->  s_i^e v_{i+1} v_i
+        match = a.virtual and b.virtual and not c.virtual and b.index + 1 == a.index == c.index
+        return (sigma(b.index, c.exponent), a, b) if match else None
     raise ValueError(f"unknown relator family {family!r}")
 
 

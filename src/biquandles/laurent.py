@@ -206,14 +206,6 @@ class LaurentMatrix:
     def identity(cls, n: int) -> "LaurentMatrix":
         return cls([[ONE if i == j else LaurentPoly() for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "LaurentMatrix":
-        return cls([[LaurentPoly() for _ in range(cols)] for _ in range(rows)])
-
-    def __getitem__(self, key: tuple[int, int]) -> LaurentPoly:
-        i, j = key
-        return self.entries[i][j]
-
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -259,12 +251,20 @@ _MAX_INNER = 1 << (63 - 2 * _PRIME_BITS)
 _BLOCK_ELEMENTS = 1 << 14
 
 
+def is_prime(n: int) -> bool:
+    """Trial division by 2, then by odd divisors up to isqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
 @cache
 def _prime(index: int) -> int:
-    """The index-th largest prime below 2^26 (index 0 is the largest), by
-    trial division."""
+    """The index-th largest prime below 2^26 (index 0 is the largest)."""
     c = (1 << _PRIME_BITS) - 1 if index == 0 else _prime(index - 1) - 2
-    while not all(c % d for d in range(3, isqrt(c) + 1, 2)):
+    while not is_prime(c):
         c -= 2
     return c
 

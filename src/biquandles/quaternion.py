@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .laurent import is_prime
 from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, ul, ur
 
 
@@ -97,17 +98,6 @@ def left_matrix(q: Quaternion) -> list[list[int]]:
         [y, z, w, -x],
         [z, -y, x, w],
     ]
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # Left and right multipliers of each operation's linearization.

@@ -4,8 +4,10 @@ A term is either a generator or one of the four binary operations ur, lr,
 ul, ll applied to two terms. A presentation lists generators and relations
 between terms; closing a braid word yields one presentation per strand.
 Presentations and the Laurent braid matrices both come from the one fold
-``braids.act``; ``linearize`` is the one term walker behind both the Laurent
-and the quaternionic linearizations, and it visits each distinct node once.
+``braids.act``; ``linearize`` is the one linearizer behind both the Laurent
+and the quaternionic linearizations. ``_postorder`` is the one walk over term
+DAGs: rendering, hashing, renaming, the generator check and ``linearize`` all
+take their node order from it, so each visits each distinct node once.
 Parsed presentations are hash-consed: a subterm repeated anywhere in a file
 is one shared node, so the text's tree becomes a DAG.
 
@@ -30,23 +32,34 @@ from .errors import DomainError, ParseError
 OPS = ("ur", "lr", "ul", "ll")
 
 
+def _postorder(roots) -> list["BQTerm"]:
+    """Each distinct node reachable from ``roots``, generators included, after
+    its operands; left operands before right ones, roots in order. Iterative,
+    so depth is bounded by memory.
+    """
+    order: list[BQTerm] = []
+    seen: set[int] = set()
+    stack = [(t, False) for t in reversed(roots)]
+    while stack:
+        t, operands_done = stack.pop()
+        if operands_done:
+            order.append(t)
+        elif id(t) not in seen:
+            seen.add(id(t))
+            stack.append((t, True))
+            if t.op is not None:
+                stack += ((t.right, False), (t.left, False))
+    return order
+
+
 def _fold(term: "BQTerm", leaf, node):
     """Bottom-up value of a term: leaf(t) at generators, node(t, left, right)
-    elsewhere. Each distinct operation node is evaluated once, so shared
-    subterms cost nothing extra. Iterative, so depth is bounded by memory.
+    elsewhere. Each distinct node is evaluated once, so shared subterms cost
+    nothing extra.
     """
     done: dict[int, object] = {}
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if t.op is None:
-            done[id(t)] = leaf(t)
-        elif id(t) in done:
-            continue
-        elif id(t.left) in done and id(t.right) in done:
-            done[id(t)] = node(t, done[id(t.left)], done[id(t.right)])
-        else:
-            stack += (t, t.right, t.left)
+    for t in _postorder([term]):
+        done[id(t)] = leaf(t) if t.op is None else node(t, done[id(t.left)], done[id(t.right)])
     return done[id(term)]
 
 
@@ -94,10 +107,6 @@ class BQTerm:
         if op not in OPS:
             raise ValueError(f"unknown operation {op!r}")
         return cls(op=op, left=left, right=right)
-
-    @property
-    def is_gen(self) -> bool:
-        return self.op is None
 
     def render(self) -> str:
         return _fold(self, lambda t: t.name, lambda t, a, b: f"{t.op}({a},{b})")
@@ -150,10 +159,9 @@ class BQPresentation:
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         declared = set(self.generators)
-        for rel in self.relations:
-            for name in _term_gens(rel.lhs) | _term_gens(rel.rhs):
-                if name not in declared:
-                    raise ValueError(f"relation uses undeclared generator {name!r}")
+        for t in _postorder([side for rel in self.relations for side in (rel.lhs, rel.rhs)]):
+            if t.op is None and t.name not in declared:
+                raise ValueError(f"relation uses undeclared generator {t.name!r}")
 
     def render(self) -> str:
         lines = ["gens " + " ".join(self.generators)]
@@ -167,25 +175,6 @@ class BQPresentation:
         if not isinstance(other, BQPresentation):
             return NotImplemented
         return self.generators == other.generators and self.relations == other.relations
-
-
-def _term_gens(t: BQTerm) -> set[str]:
-    # Visits each distinct node once: braid-built terms share subterms, and
-    # their unshared trees grow exponentially in the word length.
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t.op is None:
-            names.add(t.name)
-        else:
-            stack.append(t.right)
-            stack.append(t.left)
-    return names
 
 
 _IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
@@ -336,25 +325,11 @@ def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
     zero; zero totals are left out.
 
     Each distinct node is visited once, so shared subterms cost one ring
-    multiplication per edge of the term DAG, not per path of its tree: an
-    iterative post-order lists the nodes, then each node's inflow (the sum
-    over its paths from the roots of the multiplier products) flows down to
-    its children, parents before children.
+    multiplication per edge of the term DAG, not per path of its tree: in
+    reverse ``_postorder``, parents before children, each node's inflow (the
+    sum over its paths from the roots of the multiplier products) flows down
+    to its children.
     """
-    order: list[BQTerm] = []
-    entered: set[int] = set()
-    stack = [(t, False) for t, _ in reversed(pairs)]
-    while stack:
-        t, children_done = stack.pop()
-        if children_done:
-            order.append(t)
-        elif t.op is not None and id(t) not in entered:
-            entered.add(id(t))
-            stack.append((t, True))
-            if rules[t.op][1] is not None:
-                stack.append((t.right, False))
-            stack.append((t.left, False))
-
     inflow: dict = {}
     acc: dict = {}
 
@@ -365,9 +340,9 @@ def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
 
     for t, mult in pairs:
         add(t, mult)
-    for t in reversed(order):
+    for t in reversed(_postorder([term for term, _ in pairs])):
         flow = inflow.get(id(t))
-        if not flow:  # absent when every parent's flow was zero
+        if not flow:  # absent at generators, dropped operands and zero flow
             continue
         left_mult, right_mult = rules[t.op]
         add(t.left, flow * left_mult)

@@ -194,6 +194,19 @@ class TestPresentationText:
         with pytest.raises(ValueError):
             BQPresentation(["a"], [BQRelation(t, ur(t, B))])
 
+    def test_generator_check_walks_shared_chain_once(self):
+        """2000 relations over one 2000-deep chain: one walk, not one per side."""
+        t = A
+        for _ in range(2000):
+            t = ur(t, B)
+        start = time.perf_counter()
+        BQPresentation(["a", "b"], [BQRelation(t, A)] * 2000)
+        assert time.perf_counter() - start < 0.5
+
+    def test_undeclared_generator_is_named_left_to_right(self):
+        with pytest.raises(ValueError, match="undeclared generator 'b'"):
+            BQPresentation(["a"], [BQRelation(ur("b", "c"), ur("d", "e"))])
+
 
 class TestInterningParser:
     def test_repeated_subterms_are_one_object(self):
