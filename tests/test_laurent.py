@@ -200,6 +200,11 @@ class TestDeterminant:
         m = LaurentMatrix([[ZERO, ZERO], [S, T]])
         assert determinant(m) == ZERO
 
+    def test_equal_rows_give_zero(self):
+        """Rank 1 with no zero row or column: no pivot in the last column."""
+        m = LaurentMatrix([[ONE + S, T], [ONE + S, T]])
+        assert determinant(m) == ZERO
+
     def test_row_swap_changes_sign(self):
         m = LaurentMatrix([[ZERO, ONE], [ONE, ZERO]])
         assert determinant(m) == -ONE

@@ -183,6 +183,12 @@ class TestTriviality:
         with pytest.raises(DomainError, match="modulus must be prime, got 9"):
             module_is_trivial(pres, 9)
 
+    @pytest.mark.parametrize("text", ["gens a b\n", "gens a b\nrel ur(a,b) = ur(a,b)\n"])
+    def test_no_relations_or_only_a_zero_row(self, text):
+        trivial, report = module_is_trivial(parse_presentation(text), 3)
+        assert not trivial
+        assert report.verdict_line() == "nontrivial (rank 0 of 8, dim 8)"
+
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             module_is_trivial([["not", "relations"]], 3)
