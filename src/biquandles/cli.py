@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--presentation", metavar="FILE", help="presentation file")
     src.add_argument("--kishino", action="store_true", help="run the built-in composite test knot certificate")
-    p.add_argument("--prime", metavar="P", type=int, default=3, help="odd prime modulus (default 3)")
+    p.add_argument("--prime", metavar="P", type=int, default=3, help="prime modulus below 2^31 (default 3)")
 
     p = sub.add_parser("invariance", help="random moves must not change the polynomial")
     p.add_argument("--braid", required=True, metavar="W", help="starting braid word")

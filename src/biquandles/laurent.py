@@ -246,6 +246,8 @@ class LaurentMatrix:
 # of _MAX_INNER such products is below 2^63: every int64 step is exact.
 _PRIME_BITS = 26
 _MAX_INNER = 1 << (63 - 2 * _PRIME_BITS)
+# Below this modulus eliminate_mod's products of residues, and their differences, are exact in int64.
+MODULUS_LIMIT = 1 << 31
 # The most int64 elements one block of the evaluation grid puts in one array;
 # a block shrinks to one grid point, never further.
 _BLOCK_ELEMENTS = 1 << 14
@@ -302,32 +304,37 @@ def _inverse(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eliminate(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of the matrices a[r, :, :, g] mod p[r], as num / den.
+def eliminate_mod(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fraction-free row reduction of the m x c matrices a[r, :, :, g] mod p[r] < MODULUS_LIMIT.
 
-    Each point takes its own pivot: where a[k, k] is zero, the first row below
-    with a nonzero in column k is added to row k. Rows below the pivot are
-    multiplied by it rather than divided, so den collects those factors and
-    the caller inverts it once per point. ``a`` is overwritten.
+    One pivot row serves the whole batch: where it has a zero, the first row
+    below with a nonzero in the column is added to it, and a column that is
+    zero from the pivot row down in every matrix is skipped. Rows below are
+    multiplied by the pivot, not divided, so den collects those factors.
+    rank counts pivot rows (the rank of a batch of one); a square matrix's
+    determinant is num / den where rank is m, else 0. ``a`` is overwritten.
     """
-    n = a.shape[1]
     p2, p3, p4 = p[:, None], p[:, None, None], p[:, None, None, None]
     num = np.ones((a.shape[0], a.shape[3]), dtype=np.int64)
     den = np.ones_like(num)
-    for k in range(n):
-        first = (a[:, k:, k] != 0).argmax(axis=1)
+    r = 0
+    for k in range(a.shape[2]):
+        nonzero = a[:, r:, k] != 0
+        if not nonzero.any():
+            continue
+        first = nonzero.argmax(axis=1)
         if first.any():
-            below = np.take_along_axis(a[:, k:, k:], first[:, None, None, :], axis=1)[:, 0]
-            a[:, k, k:] = (a[:, k, k:] + below * (first > 0)[:, None, :]) % p3
-        pivot = a[:, k, k]
+            below = a[np.arange(len(p))[:, None], r + first, k:, np.arange(a.shape[3])]
+            a[:, r, k:] = (a[:, r, k:] + below.transpose(0, 2, 1) * (first > 0)[:, None, :]) % p3
+        pivot = a[:, r, k]
+        den = den * num % p2
         num = num * pivot % p2
-        if k + 1 < n:
-            den = den * num % p2
-            a[:, k + 1 :, k + 1 :] = (
-                a[:, k + 1 :, k + 1 :] * pivot[:, None, None]
-                - a[:, k + 1 :, k, None] * a[:, k, None, k + 1 :]
-            ) % p4
-    return num, den
+        a[:, r + 1 :, k + 1 :] = (
+            a[:, r + 1 :, k + 1 :] * pivot[:, None, None]
+            - a[:, r + 1 :, k, None] * a[:, r, None, k + 1 :]
+        ) % p4
+        r += 1
+    return num, den, r
 
 
 def _interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
@@ -391,7 +398,9 @@ def _grid_determinants(dense: np.ndarray, n: int, box_s: int, box_t: int, p: np.
         for s0 in range(0, box_s, step_s):
             ss = np.arange(s0, min(s0 + step_s, box_s))
             values = _matmul_mod(_powers(ss, deg_s, p)[:, None], at_t, p[:, None, None, None])
-            block_num, block_den = _eliminate(values.reshape(count, n, n, -1), p)
+            block_num, block_den, rank = eliminate_mod(values.reshape(count, n, n, -1), p)
+            if rank < n:
+                block_num[:] = 0
             block = (count, len(ss), len(ts))
             num[:, s0 : s0 + len(ss), t0 : t0 + len(ts)] = block_num.reshape(block)
             den[:, s0 : s0 + len(ss), t0 : t0 + len(ts)] = block_den.reshape(block)

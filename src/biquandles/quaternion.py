@@ -6,7 +6,7 @@ Presentations linearize over the quaternions with crossing rules
     lr(a,b) -> -i*a + (i+j)*b     ll(a,b) -> -i*a + (1-j)*b
 
 giving one quaternionic linear relation per presentation relation. Reducing
-the coefficients mod an odd prime p and restricting scalars to Z_p turns the
+the coefficients mod a prime p and restricting scalars to Z_p turns the
 system into a plain matrix over Z_p whose rank decides whether the module is
 trivial. A nontrivial module certifies the knot is not classical-trivial.
 """
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .laurent import is_prime
+from .laurent import MODULUS_LIMIT, eliminate_mod, is_prime
 from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, ul, ur
 
 
@@ -118,6 +120,14 @@ def q_linearize_term(term: BQTerm) -> dict[str, Quaternion]:
     return linearize([(term, ONE_Q)], OP_COEFFS)
 
 
+def _check_modulus(p: int) -> None:
+    """Refuse p >= 2^31, then a non-prime p: trial division takes seconds for large p."""
+    if p >= MODULUS_LIMIT:
+        raise DomainError(f"modulus must be below 2^31, got {p}")
+    if not is_prime(p):
+        raise DomainError(f"modulus must be prime, got {p}")
+
+
 class QRelationSet:
     """Linear relations with quaternion coefficients, optionally mod a prime."""
 
@@ -129,8 +139,7 @@ class QRelationSet:
         self.modulus = modulus
 
     def reduce_mod(self, p: int) -> "QRelationSet":
-        if not is_prime(p):
-            raise DomainError(f"modulus must be prime, got {p}")
+        _check_modulus(p)
         rows = [
             {name: q.reduce(p) for name, q in row.items()} for row in self.rows
         ]
@@ -170,45 +179,29 @@ def scalar_restriction(rset: QRelationSet, p: int | None = None) -> list[list[in
         p = rset.modulus
     if p is None:
         raise ValueError("scalar restriction needs a modulus")
-    if not is_prime(p):
-        raise DomainError(f"modulus must be prime, got {p}")
+    _check_modulus(p)
     cols = 4 * len(rset.generators)
     index = {name: 4 * k for k, name in enumerate(rset.generators)}
     out = []
     for row in rset.rows:
         block_rows = [[0] * cols for _ in range(4)]
         for name, q in row.items():
-            lm = left_matrix(q)
-            start = index[name]
-            for r in range(4):
-                for c in range(4):
-                    block_rows[r][start + c] = lm[r][c] % p
+            for block_row, lm_row in zip(block_rows, left_matrix(q)):
+                block_row[index[name] : index[name] + 4] = [value % p for value in lm_row]
         out.extend(block_rows)
     return out
 
 
 def fp_rank(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over the field with p elements."""
-    if not is_prime(p):
-        raise DomainError(f"modulus must be prime, got {p}")
-    work = [[value % p for value in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(value * inv) % p for value in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [(value - factor * pivot_value) % p for value, pivot_value in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    _check_modulus(p)
+    return _residue_rank([[value % p for value in row] for row in rows], p)
+
+
+def _residue_rank(rows: list[list[int]], p: int) -> int:
+    """Rank of a matrix of residues mod p: the elimination on a batch of one."""
+    work = np.array(rows, dtype=np.int64, ndmin=2)[None, :, :, None]
+    return eliminate_mod(work, np.array([p], dtype=np.int64))[2]
 
 
 @dataclass(frozen=True)
@@ -236,12 +229,9 @@ def module_is_trivial(x, prime: int) -> tuple[bool, RankReport]:
         rset = x
     else:
         raise TypeError(f"expected a presentation or relation set, got {type(x).__name__}")
-    reduced = rset.reduce_mod(prime)
-    matrix = scalar_restriction(reduced, prime)
+    rank = _residue_rank(scalar_restriction(rset, prime), prime)
     total = 4 * len(rset.generators)
-    rank = fp_rank(matrix, prime) if matrix else 0
-    dim = total - rank
-    report = RankReport(rank=rank, total=total, dim=dim, trivial=(dim == 0))
+    report = RankReport(rank=rank, total=total, dim=total - rank, trivial=(rank == total))
     return report.trivial, report
 
 

@@ -162,6 +162,13 @@ class TestQcheck:
         code, out, err = invoke(capsys, "qcheck", "--kishino", "--prime", "4")
         assert code == 2 and err.startswith("error: ")
 
+    def test_modulus_of_2_to_31_or_more_exits_two_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "qcheck", "--kishino", "--prime", "2305843009213693951")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: modulus must be below 2^31, got 2305843009213693951\n"
+
 
 @pytest.mark.parametrize("command", ["gap", "qcheck"])
 def test_deeply_nested_presentation(capsys, tmp_path, command):

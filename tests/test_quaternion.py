@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from biquandles.errors import DomainError
 from biquandles.quaternion import (
@@ -25,6 +27,50 @@ from biquandles.terms import lr, parse_presentation, ul, ur
 
 def random_quaternion(rng):
     return Quaternion(*(rng.randint(-4, 4) for _ in range(4)))
+
+
+def reference_rank(rows, p):
+    """Rank over Z_p by plain Gauss-Jordan elimination on Python ints: the oracle for fp_rank."""
+    work = [[value % p for value in row] for row in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [(value * inv) % p for value in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [(value - factor * pivot_value) % p for value, pivot_value in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+@st.composite
+def rank_cases(draw):
+    """A modulus and a 0..16 x 0..16 integer matrix: dense, all zero, or a
+    product through at most 4 inner columns (so of low rank)."""
+    p = draw(st.sampled_from([2, 3, 5, 65521, 2**31 - 1]))
+    entries = (
+        st.integers(-3, 3)
+        | st.integers(-(2**70), 2**70)
+        | st.builds(lambda k, d: k * p + d, st.integers(-3, 3), st.integers(-1, 1))
+    )
+    m, c = draw(st.integers(0, 16)), draw(st.integers(0, 16))
+    kind = draw(st.sampled_from(["dense", "zero", "product"]))
+    if kind == "zero":
+        return [[0] * c for _ in range(m)], p
+    if kind == "dense":
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=m, max_size=m)), p
+    inner = draw(st.integers(0, 4))
+    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=inner, max_size=inner))
+    return [[sum(x * y[j] for x, y in zip(row, right)) for j in range(c)] for row in left], p
 
 
 class TestQuaternionArithmetic:
@@ -148,6 +194,31 @@ class TestRank:
     def test_requires_prime(self):
         with pytest.raises(DomainError, match="modulus must be prime, got 4"):
             fp_rank([[1]], 4)
+
+    @given(rank_cases())
+    def test_matches_gaussian_elimination(self, case):
+        rows, p = case
+        assert fp_rank(rows, p) == reference_rank(rows, p)
+
+    def test_largest_modulus(self):
+        p = 2**31 - 1
+        assert fp_rank([[p - 1, p - 2], [p - 2, p - 1]], p) == 2
+        assert fp_rank([[p - 1, p - 2], [2, 4]], p) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: fp_rank([[1]], p),
+            lambda p: module_is_trivial(parse_presentation("gens a\nrel ur(a,a) = a\n"), p),
+            lambda p: kishino_certificate(prime=p),
+        ],
+    )
+    def test_modulus_of_2_to_31_or_more_refused_before_primality(self, call):
+        for p in (2**31, 2**61 - 1):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"modulus must be below 2\\^31, got {p}$"):
+                call(p)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestScalarRestriction:
