@@ -388,6 +388,49 @@ class TestBraidActions:
             assert up == tuple(reversed(down))
 
 
+def reference_act_down(w, tup):
+    """The downward fold written out: letters last to first, a letter with
+    index i on slots n-1-i and n-i, through phi_d, phi_d_inv and tau.
+    """
+    n = w.strands
+    if len(tup) != n:
+        raise ValueError(f"tuple length {len(tup)} does not match {n} strands")
+    labels = list(tup)
+    for letter in reversed(w.letters):
+        kind = "tau" if letter.virtual else ("phi_d" if letter.exponent > 0 else "phi_d_inv")
+        i = n - 1 - letter.index
+        labels[i], labels[i + 1] = apply_morphism(kind, (labels[i], labels[i + 1]))
+    return tuple(labels)
+
+
+# Every (n, L) with n in 1..7 and L in 0..20, the empty word on each n among
+# them; on one strand random_braid gives the empty word at any length.
+DOWN_WORDS = [random_braid(1 + k % 7, (k // 7) % 21, seed=k) for k in range(210)]
+
+
+class TestDownwardActionOracle:
+    def test_action_matches_reference(self):
+        for w in DOWN_WORDS:
+            gens = tuple(BQTerm.gen(g) for g in generator_names(w.strands))
+            assert braid_act_down(w, gens) == reference_act_down(w, gens), str(w)
+
+    def test_presentation_matches_reference(self):
+        for w in DOWN_WORDS:
+            names = generator_names(w.strands)
+            gens = tuple(BQTerm.gen(g) for g in reversed(names))
+            image = reference_act_down(w, gens)
+            expected = "gens " + " ".join(names) + "\n" + "".join(
+                f"rel {lhs.render()} = {rhs.render()}\n" for lhs, rhs in zip(image, gens)
+            )
+            assert presentation_from_braid_down(w).render() == expected, str(w)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_tuple_length_checked(self, size):
+        w = parse_braid_word("n=3; s1")
+        with pytest.raises(ValueError, match=f"tuple length {size} does not match 3 strands"):
+            braid_act_down(w, tuple(BQTerm.gen(g) for g in generator_names(size)))
+
+
 class TestPresentationsFromBraids:
     def test_virtual_hopf_up(self):
         pres = presentation_from_braid(parse_braid_word("n=2; v1 s1"))
