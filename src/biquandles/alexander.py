@@ -4,7 +4,8 @@ Crossings act linearly on strand labels over the Laurent ring Z[s^±1, t^±1];
 the determinant of the resulting relation matrix, normalized up to units, is
 an invariant of the braid closure. Every matrix is ``terms.linearize`` with
 ``OP_COEFFS`` applied to terms: relations, or a braid's term images under
-``braid_act_up``/``braid_act_down``, so the term morphisms state each crossing.
+``braid_act_up``/``braid_act_down`` (the one upward fold), so the term
+morphisms state each crossing.
 """
 
 from __future__ import annotations

@@ -113,23 +113,6 @@ def invert_braid(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(letter.inverse() for letter in reversed(w.letters)))
 
 
-def act(w: BraidWord, labels: list, crossing, down: bool = False) -> list:
-    """Fold the word over strand labels in place and return them.
-
-    Each letter replaces the labels x, y at its two slots by
-    ``crossing(letter, x, y)``. Upward, letters run first to last and index i
-    acts on slots i-1, i; with ``down``, they run last to first and slots
-    count from the top strand (n-1-i, n-i).
-    """
-    n = w.strands
-    if len(labels) != n:
-        raise ValueError(f"tuple length {len(labels)} does not match {n} strands")
-    for letter in reversed(w.letters) if down else w.letters:
-        i = n - 1 - letter.index if down else letter.index - 1
-        labels[i], labels[i + 1] = crossing(letter, labels[i], labels[i + 1])
-    return labels
-
-
 def _cancels(a: BraidLetter, b: BraidLetter) -> bool:
     if a.index != b.index or a.virtual != b.virtual:
         return False

@@ -3,11 +3,13 @@
 A term is either a generator or one of the four binary operations ur, lr,
 ul, ll applied to two terms. A presentation lists generators and relations
 between terms; closing a braid word yields one presentation per strand.
-Presentations and the Laurent braid matrices both come from the one fold
-``braids.act``; ``linearize`` is the one linearizer behind both the Laurent
-and the quaternionic linearizations. ``_postorder`` is the one walk over term
-DAGs: rendering, hashing, renaming, the generator check and ``linearize`` all
-take their node order from it, so each visits each distinct node once.
+Presentations and the Laurent braid matrices both come from the one upward
+fold ``braid_act_up``: the downward action is the upward action of the
+inverse word, read from the other end. ``linearize`` is the one linearizer
+behind both the Laurent and the quaternionic linearizations. ``_postorder``
+is the one walk over term DAGs: rendering, hashing, renaming, the generator
+check and ``linearize`` all take their node order from it, so each visits
+each distinct node once.
 Parsed presentations are hash-consed: a subterm repeated anywhere in a file
 is one shared node, so the text's tree becomes a DAG.
 
@@ -26,7 +28,7 @@ import re
 from dataclasses import dataclass
 from itertools import permutations
 
-from .braids import BraidWord, act
+from .braids import BraidWord, invert_braid
 from .errors import DomainError, ParseError
 
 OPS = ("ur", "lr", "ul", "ll")
@@ -271,9 +273,6 @@ def parse_presentation(text: str) -> BQPresentation:
 # Crossing morphisms on pairs of terms. The positive upward crossing sends
 # (a, b) to (ur(b,a), lr(a,b)); its inverse and the downward pair follow the
 # same switching pattern with the left/right operation roles exchanged.
-MORPHISMS = ("phi_u", "phi_u_inv", "phi_d", "phi_d_inv", "tau")
-
-
 def apply_morphism(kind: str, pair: tuple[BQTerm, BQTerm]) -> tuple[BQTerm, BQTerm]:
     a, b = pair
     if kind == "phi_u":
@@ -289,31 +288,32 @@ def apply_morphism(kind: str, pair: tuple[BQTerm, BQTerm]) -> tuple[BQTerm, BQTe
     raise ValueError(f"unknown morphism {kind!r}")
 
 
-def _morphism_crossing(positive: str, negative: str):
-    def crossing(letter, a: BQTerm, b: BQTerm) -> tuple[BQTerm, BQTerm]:
-        kind = "tau" if letter.virtual else (positive if letter.exponent > 0 else negative)
-        return apply_morphism(kind, (a, b))
-
-    return crossing
-
-
 def braid_act_up(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
     """Push labels up through the braid, first letter first.
 
     The action is an anti-homomorphism on words, which is exactly this
     left-to-right fold. A letter with index i acts on slots i-1 and i.
     """
-    return tuple(act(w, list(tup), _morphism_crossing("phi_u", "phi_u_inv")))
+    if len(tup) != w.strands:
+        raise ValueError(f"tuple length {len(tup)} does not match {w.strands} strands")
+    labels = list(tup)
+    for letter in w.letters:
+        kind = "tau" if letter.virtual else ("phi_u" if letter.exponent > 0 else "phi_u_inv")
+        i = letter.index - 1
+        labels[i], labels[i + 1] = apply_morphism(kind, (labels[i], labels[i + 1]))
+    return tuple(labels)
 
 
 def braid_act_down(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
     """Push labels down through the braid, last letter first.
 
-    The downward action is a homomorphism on words, so the fold runs right
-    to left. Slot positions count from the top strand: a letter with index i
-    acts on slots n-1-i and n-i.
+    The downward action is a homomorphism on words. Slot positions count
+    from the top strand: a letter with index i acts on slots n-1-i and n-i
+    through phi_d, phi_d_inv or tau. Since phi_d(a, b) is phi_u_inv(b, a)
+    swapped and phi_d_inv(a, b) is phi_u(b, a) swapped, this is the upward
+    action of the inverse word on the reversed tuple, reversed.
     """
-    return tuple(act(w, list(tup), _morphism_crossing("phi_d", "phi_d_inv"), down=True))
+    return braid_act_up(invert_braid(w), tup[::-1])[::-1]
 
 
 def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
@@ -375,13 +375,11 @@ def presentation_from_braid_down(w: BraidWord) -> BQPresentation:
     """Biquandle of the braid closure, traversing the diagram downward.
 
     The tuple enters at the top, so it lists the generators in reverse strand
-    order; the generator list itself is unchanged.
+    order; the generator list itself is unchanged. By ``braid_act_down``'s
+    identity these are the upward relations of the inverse word, last first.
     """
-    names = generator_names(w.strands)
-    gens = tuple(BQTerm.gen(name) for name in reversed(names))
-    image = braid_act_down(w, gens)
-    relations = [BQRelation(image[i], gens[i]) for i in range(w.strands)]
-    return BQPresentation(names, relations)
+    up = presentation_from_braid(invert_braid(w))
+    return BQPresentation(up.generators, up.relations[::-1])
 
 
 def _rename_term(t: BQTerm, mapping: dict[str, str]) -> BQTerm:
