@@ -29,6 +29,11 @@ from .laurent import format_poly
 from .quaternion import kishino_certificate, module_is_trivial
 from .terms import parse_presentation, presentation_from_braid, presentation_from_braid_down
 
+# The most bytes ``present`` prints. A braid's presentation text grows
+# exponentially in letters per strand while the term DAG behind it stays
+# linear, so the size is counted on the DAG before anything is rendered.
+MAX_PRESENT_BYTES = 1 << 26
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports bad command lines as parse errors."""
@@ -43,6 +48,8 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 @functools.cache
@@ -88,6 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_present(args) -> int:
     w = parse_braid_word(args.braid)
     pres = presentation_from_braid_down(w) if args.down else presentation_from_braid(w)
+    size = pres.render_size()
+    if size > MAX_PRESENT_BYTES:
+        raise DomainError(f"presentation text would be {size} bytes, above the limit of 2^26")
     sys.stdout.write(pres.render())
     return 0
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .alexander import OP_COEFFS as ALEXANDER_COEFFS
 from .errors import DomainError, ParseError
-from .quaternion import OP_COEFFS as QUATERNION_COEFFS, Quaternion, is_prime, left_matrix
+from .laurent import check_modulus_bound, is_prime
+from .quaternion import OP_COEFFS as QUATERNION_COEFFS, Quaternion, left_matrix
 from .terms import OPS
 
 # Sweeps walk blocks of their first variable; each block's array (up to an
@@ -220,7 +221,8 @@ def finite_alexander_biquandle(m: int, s: int, t: int) -> FiniteBiquandle:
 
 
 def finite_quaternionic_biquandle(p: int) -> FiniteBiquandle:
-    """Quaternionic biquandle on the p^4 quaternions over Z_p, p an odd prime."""
+    """Quaternionic biquandle on the p^4 quaternions over Z_p, p an odd prime below 2^31."""
+    check_modulus_bound(p)
     if not is_prime(p) or p == 2:
         raise DomainError(f"modulus must be an odd prime, got {p}")
     maps = {op: tuple(left_matrix(q) for q in pair) for op, pair in QUATERNION_COEFFS.items()}

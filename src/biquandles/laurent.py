@@ -13,6 +13,8 @@ from math import isqrt, prod
 
 import numpy as np
 
+from .errors import DomainError
+
 
 class LaurentPoly:
     __slots__ = ("terms",)
@@ -260,6 +262,14 @@ def is_prime(n: int) -> bool:
     if n % 2 == 0:
         return n == 2
     return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def check_modulus_bound(p: int) -> None:
+    """Refuse p >= MODULUS_LIMIT; run it before ``is_prime``, whose trial
+    division takes seconds for a large p.
+    """
+    if p >= MODULUS_LIMIT:
+        raise DomainError(f"modulus must be below 2^31, got {p}")
 
 
 @cache

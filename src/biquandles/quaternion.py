@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .laurent import MODULUS_LIMIT, eliminate_mod, is_prime
+from .laurent import check_modulus_bound, eliminate_mod, is_prime
 from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, ul, ur
 
 
@@ -121,9 +121,8 @@ def q_linearize_term(term: BQTerm) -> dict[str, Quaternion]:
 
 
 def _check_modulus(p: int) -> None:
-    """Refuse p >= 2^31, then a non-prime p: trial division takes seconds for large p."""
-    if p >= MODULUS_LIMIT:
-        raise DomainError(f"modulus must be below 2^31, got {p}")
+    """Refuse p >= 2^31, then a non-prime p."""
+    check_modulus_bound(p)
     if not is_prime(p):
         raise DomainError(f"modulus must be prime, got {p}")
 

@@ -170,6 +170,17 @@ class BQPresentation:
         lines.extend(f"rel {rel.render()}" for rel in self.relations)
         return "\n".join(lines) + "\n"
 
+    def render_size(self) -> int:
+        """``len(self.render())``, counted over the term DAGs without rendering:
+        the text can be exponentially longer than the DAG behind it.
+        """
+
+        def size(t: BQTerm) -> int:
+            return _fold(t, lambda g: len(g.name), lambda t, a, b: len(t.op) + len("(,)") + a + b)
+
+        head = len("gens " + " ".join(self.generators) + "\n")
+        return head + sum(len("rel  = \n") + size(rel.lhs) + size(rel.rhs) for rel in self.relations)
+
     def __str__(self) -> str:
         return self.render()
 

@@ -8,7 +8,9 @@ import pytest
 
 import biquandles
 from biquandles import cli
+from biquandles.braids import random_braid, render_braid_word
 from biquandles.cli import main, run
+from biquandles.terms import BQPresentation
 
 # Child interpreters import the same package the tests imported, also from a
 # checkout where only pytest's own pythonpath setting points at src/.
@@ -35,6 +37,29 @@ class TestPresent:
         code, out, err = invoke(capsys, "present", "--braid", "n=2; -s1 v1", "--down")
         assert code == 0
         assert out == "gens a b\nrel lr(b,a) = b\nrel ur(a,b) = a\n"
+
+    @pytest.mark.parametrize("down", [[], ["--down"]])
+    def test_long_text_refused_before_rendering(self, capsys, monkeypatch, down):
+        """The text of this 50-letter word is about 2.7 GB; its DAG is small."""
+
+        def never(self):
+            raise AssertionError("the presentation was rendered")
+
+        monkeypatch.setattr(BQPresentation, "render", never)
+        word = render_braid_word(random_braid(3, 50, seed=2))
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "present", "--braid", word, *down)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: presentation text would be 2697591863 bytes, above the limit of 2^26\n"
+
+    def test_text_of_exactly_the_limit_is_printed(self, capsys, monkeypatch):
+        text = "gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n"
+        monkeypatch.setattr(cli, "MAX_PRESENT_BYTES", len(text))
+        assert invoke(capsys, "present", "--braid", "n=2; v1 s1") == (0, text, "")
+        monkeypatch.setattr(cli, "MAX_PRESENT_BYTES", len(text) - 1)
+        code, out, err = invoke(capsys, "present", "--braid", "n=2; v1 s1")
+        assert (code, out) == (2, "") and err.count("error: ") == 1
 
 
 class TestGap:
@@ -119,6 +144,13 @@ class TestAxioms:
         code, out, err = invoke(capsys, "axioms", "--quaternionic", "6")
         assert code == 2 and err.startswith("error: ")
 
+    def test_modulus_of_2_to_31_or_more_exits_two_at_once_under_force(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "axioms", "--quaternionic", "2305843009213693951", "--force")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: modulus must be below 2^31, got 2305843009213693951\n"
+
     @pytest.mark.parametrize(
         "argv, size",
         [(["--quaternionic", "11"], 14641), (["--alexander", "100000,1,1"], 100000)],
@@ -168,6 +200,22 @@ class TestQcheck:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == "error: modulus must be below 2^31, got 2305843009213693951\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["gap", "--presentation"], ["qcheck", "--presentation"], ["axioms", "--tables"]]
+)
+def test_file_that_is_not_utf8_exits_one(tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"gens a\nrel ur(a,a) = a # \xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "biquandles", *argv, str(path)],
+        capture_output=True,
+        text=True,
+        env=_CHILD_ENV,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 25)\n"
 
 
 @pytest.mark.parametrize("command", ["gap", "qcheck"])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,18 @@ class TestQuaternionicTables:
     def test_rejects_two(self):
         with pytest.raises(DomainError):
             finite_quaternionic_biquandle(2)
+
+    @pytest.mark.parametrize("p", [2, 9, 2**31 - 3])
+    def test_non_odd_prime_message(self, p):
+        with pytest.raises(DomainError, match=f"modulus must be an odd prime, got {p}$"):
+            finite_quaternionic_biquandle(p)
+
+    def test_modulus_of_2_to_31_or_more_refused_before_primality(self):
+        for p in (2**31, 2**61 - 1):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"modulus must be below 2\\^31, got {p}$"):
+                finite_quaternionic_biquandle(p)
+            assert time.perf_counter() - start < 0.1
 
     def test_checker_runs_under_force_flag_rules(self):
         q = finite_quaternionic_biquandle(3)

@@ -455,6 +455,11 @@ class TestPresentationsFromBraids:
             down = presentation_from_braid_down(invert_braid(w))
             assert presentations_equal_up_to_renaming(up, down)
 
+    def test_render_size_counts_the_text(self):
+        for w in DOWN_WORDS + [random_braid(30, 12, seed=3)]:
+            for pres in (presentation_from_braid(w), presentation_from_braid_down(w)):
+                assert pres.render_size() == len(pres.render()), str(w)
+
     def test_generator_names_roll_over(self):
         assert generator_names(3) == ["a", "b", "c"]
         assert generator_names(27)[:2] == ["g1", "g2"]
