@@ -393,8 +393,6 @@ def reference_act_down(w, tup):
     index i on slots n-1-i and n-i, through phi_d, phi_d_inv and tau.
     """
     n = w.strands
-    if len(tup) != n:
-        raise ValueError(f"tuple length {len(tup)} does not match {n} strands")
     labels = list(tup)
     for letter in reversed(w.letters):
         kind = "tau" if letter.virtual else ("phi_d" if letter.exponent > 0 else "phi_d_inv")
