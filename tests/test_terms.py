@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -494,3 +495,178 @@ class TestRenamingEquivalence:
         pres = BQPresentation(names, [])
         with pytest.raises(DomainError):
             presentations_equal_up_to_renaming(pres, pres)
+
+
+def reference_term_eq(x, y):
+    """Reference term equality: the two terms walked in parallel with an
+    explicit stack, each pair of shared nodes once.
+    """
+    seen = set()
+    stack = [(x, y)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        if x.op != y.op or x.name != y.name:
+            return False
+        if x.op is not None:
+            seen.add((id(x), id(y)))
+            stack += ((x.right, y.right), (x.left, y.left))
+    return True
+
+
+def reference_presentation_eq(p, q):
+    return (
+        p.generators == q.generators
+        and len(p.relations) == len(q.relations)
+        and all(
+            reference_term_eq(r.lhs, s.lhs) and reference_term_eq(r.rhs, s.rhs)
+            for r, s in zip(p.relations, q.relations)
+        )
+    )
+
+
+def _tree(t, mapping=None):
+    """``t`` as a tree with a fresh node on every path, generators renamed by ``mapping``."""
+    if t.op is None:
+        return BQTerm.gen(t.name if mapping is None else mapping[t.name])
+    return BQTerm.node(t.op, _tree(t.left, mapping), _tree(t.right, mapping))
+
+
+def _text(t, mapping=None):
+    if t.op is None:
+        return t.name if mapping is None else mapping[t.name]
+    return f"{t.op}({_text(t.left, mapping)},{_text(t.right, mapping)})"
+
+
+def reference_equal_up_to_renaming(p, q):
+    """Reference renaming-equality: rename every leaf and render every
+    relation, once per bijection, and compare the sorted texts.
+    """
+    if len(p.generators) != len(q.generators) or len(p.relations) != len(q.relations):
+        return False
+
+    def key(rel, mapping=None):
+        return sorted(_text(side, mapping) for side in (rel.lhs, rel.rhs))
+
+    target = sorted(key(rel) for rel in q.relations)
+    return any(
+        sorted(key(rel, dict(zip(p.generators, perm))) for rel in p.relations) == target
+        for perm in itertools.permutations(q.generators)
+    )
+
+
+def _with_one_change(t, names, rng):
+    """A tree copy of ``t`` with one node changed: another operation at an
+    inner node, another generator name at a leaf.
+    """
+    tree = _tree(t)
+    nodes, stack = [], [tree]
+    while stack:
+        s = stack.pop()
+        nodes.append(s)
+        if s.op is not None:
+            stack += (s.left, s.right)
+    target = rng.choice(nodes)
+
+    def rebuild(s):
+        if s is target:
+            if s.op is None:
+                return BQTerm.gen(rng.choice([g for g in names if g != s.name]))
+            return BQTerm.node(rng.choice([o for o in OPS if o != s.op]), s.left, s.right)
+        if s.op is None:
+            return s
+        return BQTerm.node(s.op, rebuild(s.left), rebuild(s.right))
+
+    return rebuild(tree)
+
+
+def _base_presentation(k, rng):
+    """A braid closure's presentation (up or down) or random shared relations, on 2-4 generators."""
+    n = 2 + k % 3
+    if k % 2:
+        w = random_braid(n, rng.randint(0, 7), seed=k)
+        return presentation_from_braid_down(w) if k % 4 == 1 else presentation_from_braid(w)
+    names = generator_names(n)
+    pool = [BQTerm.gen(g) for g in names]
+    for _ in range(rng.randint(0, 8)):
+        pool.append(BQTerm.node(rng.choice(OPS), rng.choice(pool), rng.choice(pool)))
+    rels = [BQRelation(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, n))]
+    return BQPresentation(names, rels)
+
+
+def _variants(p, rng):
+    """Presentations to compare with ``p``: equal with other sharing, one node
+    changed, generators swapped, relations reordered and sides flipped.
+    """
+    names = p.generators
+    perm = rng.sample(names, len(names))
+    mapping = dict(zip(names, perm))
+    trees = [BQRelation(_tree(r.lhs), _tree(r.rhs)) for r in p.relations]
+
+    def changed(rels):
+        rels = list(rels)
+        i = rng.randrange(len(rels))
+        lhs, rhs = rels[i].lhs, rels[i].rhs
+        if rng.random() < 0.5:
+            lhs = _with_one_change(lhs, names, rng)
+        else:
+            rhs = _with_one_change(rhs, names, rng)
+        rels[i] = BQRelation(lhs, rhs)
+        return rels
+
+    def reordered(rels):
+        rels = [r.flip() if rng.random() < 0.5 else r for r in rels]
+        rng.shuffle(rels)
+        return rels
+
+    renamed = [BQRelation(_tree(r.lhs, mapping), _tree(r.rhs, mapping)) for r in p.relations]
+    return [
+        parse_presentation(p.render()),
+        BQPresentation(names, trees),
+        BQPresentation(names, changed(p.relations)),
+        BQPresentation(names, renamed),
+        BQPresentation(names, reordered(p.relations)),
+        BQPresentation(names, reordered(renamed)),
+        BQPresentation(names, changed(reordered(renamed))),
+    ]
+
+
+class TestStructureEqualityOracle:
+    """Term and presentation equality, and renaming-equality, agree with the
+    reference walker and the reference render-and-rename key."""
+
+    def test_matches_references(self):
+        rng = random.Random(2024)
+        outcomes = {"term": set(), "presentation": set(), "renaming": set()}
+        cases = 0
+        for k in range(40):
+            p = _base_presentation(k, rng)
+            for q in _variants(p, rng):
+                for x, y in ((p, q), (q, p)):
+                    cases += 1
+                    for r, s in zip(x.relations, y.relations):
+                        for a, b in ((r.lhs, s.lhs), (r.rhs, s.rhs), (r.lhs, s.rhs)):
+                            expected = reference_term_eq(a, b)
+                            assert (a == b) is expected and (a != b) is not expected, (k, str(x), str(y))
+                            outcomes["term"].add(expected)
+                    expected = reference_presentation_eq(x, y)
+                    assert (x == y) is expected, (k, str(x), str(y))
+                    outcomes["presentation"].add(expected)
+                    expected = reference_equal_up_to_renaming(x, y)
+                    assert presentations_equal_up_to_renaming(x, y) is expected, (k, str(x), str(y))
+                    outcomes["renaming"].add(expected)
+        assert cases >= 200
+        assert all(seen == {True, False} for seen in outcomes.values())
+
+    def test_sharing_does_not_matter(self):
+        """A parsed DAG equals its unshared tree, and one changed node breaks it."""
+        rng = random.Random(7)
+        for k in range(60):
+            p = presentation_from_braid(random_braid(3, 1 + k % 8, seed=k))
+            parsed = parse_presentation(p.render())
+            for rel in parsed.relations:
+                tree = _tree(rel.lhs)
+                assert rel.lhs == tree and tree == rel.lhs, k
+                other = _with_one_change(rel.lhs, parsed.generators, rng)
+                assert rel.lhs != other and not reference_term_eq(rel.lhs, other), k
