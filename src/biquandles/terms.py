@@ -65,8 +65,19 @@ def _fold(term: "BQTerm", leaf, node):
     return done[id(term)]
 
 
-# Equality, hashing and repr walk the term with ``_fold`` or an explicit
-# stack; the dataclass-generated ones recurse once per nesting level.
+def _structure_number(term: "BQTerm", key, rename: dict[str, str] | None = None) -> int:
+    """``term``'s number as a tree: ``key`` numbers each generator name, renamed
+    through ``rename`` if given, and each (op, left number, right number). Under
+    one injective ``key``, terms get equal numbers exactly when they are equal
+    as trees, whatever their sharing. A lookup-only ``key`` that answers -1 for
+    a missing entry gives -1 to every term with a subterm not numbered before.
+    """
+    name = (lambda g: g.name) if rename is None else (lambda g: rename[g.name])
+    return _fold(term, lambda g: key(name(g)), lambda t, a, b: key((t.op, a, b)))
+
+
+# Equality, hashing and repr walk the term with ``_fold``; the
+# dataclass-generated ones recurse once per nesting level.
 @dataclass(frozen=True, eq=False, repr=False)
 class BQTerm:
     op: str | None = None
@@ -77,18 +88,10 @@ class BQTerm:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        seen = set()
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            if x is y or (id(x), id(y)) in seen:
-                continue
-            if x.op != y.op or x.name != y.name:
-                return False
-            if x.op is not None:
-                seen.add((id(x), id(y)))
-                stack += ((x.right, y.right), (x.left, y.left))
-        return True
+        table: dict = {}  # self is numbered first; other only looks numbers up
+        return self is other or _structure_number(
+            self, lambda k: table.setdefault(k, len(table))
+        ) == _structure_number(other, lambda k: table.get(k, -1))
 
     def __hash__(self) -> int:
         return _fold(self, lambda t: hash(t.name), lambda t, a, b: hash((t.op, a, b)))
@@ -393,20 +396,14 @@ def presentation_from_braid_down(w: BraidWord) -> BQPresentation:
     return BQPresentation(up.generators, up.relations[::-1])
 
 
-def _rename_term(t: BQTerm, mapping: dict[str, str]) -> BQTerm:
-    return _fold(t, lambda g: BQTerm.gen(mapping[g.name]), lambda t, a, b: BQTerm.node(t.op, a, b))
-
-
-def _relation_key(rel: BQRelation) -> tuple[str, str]:
-    sides = sorted((rel.lhs.render(), rel.rhs.render()))
-    return (sides[0], sides[1])
-
-
 def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> bool:
     """True when some bijection of generator names maps one relation multiset
     onto the other. Relations are compared as unordered equations.
 
     The search tries every bijection, so it is limited to 8 generators.
+    Each relation is keyed by the sorted structure numbers of its sides. q's
+    terms are numbered once; each renaming of p only looks numbers up, so no
+    term is built or rendered per bijection and the table holds q's nodes only.
     """
     if len(p.generators) != len(q.generators):
         return False
@@ -416,15 +413,16 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
         raise DomainError(
             f"renaming search supports at most 8 generators, got {len(p.generators)}"
         )
-    target = sorted(_relation_key(rel) for rel in q.relations)
-    for perm in permutations(q.generators):
-        mapping = dict(zip(p.generators, perm))
-        renamed = sorted(
-            _relation_key(
-                BQRelation(_rename_term(rel.lhs, mapping), _rename_term(rel.rhs, mapping))
-            )
-            for rel in p.relations
+    table: dict = {}
+
+    def relation_keys(pres: BQPresentation, key, rename=None) -> list[list[int]]:
+        return sorted(
+            sorted(_structure_number(side, key, rename) for side in (rel.lhs, rel.rhs))
+            for rel in pres.relations
         )
-        if renamed == target:
-            return True
-    return False
+
+    target = relation_keys(q, lambda k: table.setdefault(k, len(table)))
+    return any(
+        relation_keys(p, lambda k: table.get(k, -1), dict(zip(p.generators, perm))) == target
+        for perm in permutations(q.generators)
+    )

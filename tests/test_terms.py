@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -453,6 +454,21 @@ class TestPresentationsFromBraids:
             up = presentation_from_braid(w)
             down = presentation_from_braid_down(invert_braid(w))
             assert presentations_equal_up_to_renaming(up, down)
+
+    def test_renaming_check_is_bounded_by_the_dags(self):
+        """The text of this 40-letter word is about 50 MB; its DAGs are small."""
+        w = random_braid(3, 40, seed=2)
+        up, down = presentation_from_braid(w), presentation_from_braid_down(invert_braid(w))
+        start = time.perf_counter()
+        assert presentations_equal_up_to_renaming(up, down)
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            assert presentations_equal_up_to_renaming(up, down)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_render_size_counts_the_text(self):
         for w in DOWN_WORDS + [random_braid(30, 12, seed=3)]:
