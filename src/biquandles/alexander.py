@@ -69,12 +69,23 @@ OP_COEFFS = {
 }
 
 
-def _linear_rows(names: list[str], row_pairs) -> LaurentMatrix:
+# The most cells a braid or relation matrix may have (n <= 4096 when square).
+# The matrix is dense, one list slot per cell, so it is refused before the
+# first row is linearized.
+MAX_MATRIX_CELLS = 1 << 24
+
+
+def _linear_rows(names: list[str], row_pairs: list) -> LaurentMatrix:
     """One row per list of (term, multiplier) pairs: each generator's coefficient.
 
     Cells are shared objects (``ZERO``, and ``linearize``'s ``ONE`` and
     ``OP_COEFFS`` entries), so no caller may change a cell's terms in place.
     """
+    cells = len(row_pairs) * len(names)
+    if cells > MAX_MATRIX_CELLS:
+        raise DomainError(
+            f"matrix would have {len(row_pairs)}x{len(names)} = {cells} cells, above the limit of 2^24"
+        )
     rows = []
     for pairs in row_pairs:
         coeffs = linearize(pairs, OP_COEFFS)
@@ -85,7 +96,7 @@ def _linear_rows(names: list[str], row_pairs) -> LaurentMatrix:
 def _braid_matrix(w: BraidWord, braid_act) -> LaurentMatrix:
     names = generator_names(w.strands)
     image = braid_act(w, tuple(BQTerm.gen(name) for name in names))
-    return _linear_rows(names, ([(t, ONE)] for t in image))
+    return _linear_rows(names, [[(t, ONE)] for t in image])
 
 
 def braid_matrix_up(w: BraidWord) -> LaurentMatrix:
@@ -111,12 +122,12 @@ def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
 def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
     """Closure relations in matrix form: the upward word action minus identity."""
     p = presentation_from_braid(w)
-    return _linear_rows(p.generators, ([(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations))
+    return _linear_rows(p.generators, [[(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations])
 
 
 def relation_matrix_from_presentation(p: BQPresentation) -> LaurentMatrix:
     """Linearize each relation over Z[s^±1, t^±1]; one row per relation."""
-    return _linear_rows(p.generators, ([(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations))
+    return _linear_rows(p.generators, [[(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations])
 
 
 def normalize_gap(p: LaurentPoly) -> LaurentPoly:

@@ -260,13 +260,12 @@ def parse_presentation(text: str) -> BQPresentation:
                     raise ParseError(f"line {lineno}: bad generator name {name!r}")
             if len(set(names)) != len(names):
                 raise ParseError(f"line {lineno}: duplicate generator names")
-            generators = names
+            generators, declared = names, set(names)
             continue
         if keyword == "rel":
             if generators is None:
                 raise ParseError(f"line {lineno}: rel before gens")
             tokens = _TOKEN_RE.findall(rest)
-            declared = set(generators)
             try:
                 lhs, pos = _parse_term(tokens, 0, declared, memo)
                 if pos >= len(tokens) or tokens[pos] != "=":

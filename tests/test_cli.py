@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import biquandles
-from biquandles import cli
+from biquandles import alexander, cli
 from biquandles.braids import random_braid, render_braid_word
 from biquandles.cli import main, run
 from biquandles.terms import BQPresentation
@@ -95,6 +95,35 @@ class TestGap:
         code, out, err = invoke(capsys, "gap", "--presentation", str(path))
         assert (code, out) == (2, "")
         assert err == "error: need a square system, got 0 relations for 2 generators\n"
+
+    @pytest.mark.parametrize("source", ["braid", "presentation"])
+    def test_oversized_matrix_refused_before_filling(self, capsys, tmp_path, monkeypatch, source):
+        """A 30000-strand word asked for about 7 GB of list slots and died
+        with a MemoryError; no row may be linearized above the cap."""
+
+        def never(*args):
+            raise AssertionError("a row was linearized")
+
+        monkeypatch.setattr(alexander, "linearize", never)
+        if source == "braid":
+            argv, size = ["--braid", "n=30000;"], 30000
+        else:
+            names = [f"g{i}" for i in range(1, 5001)]
+            path = tmp_path / "wide.bq"
+            path.write_text("gens " + " ".join(names) + "\n" + "".join(f"rel ur({g},{g}) = {g}\n" for g in names))
+            argv, size = ["--presentation", str(path)], 5000
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "gap", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix would have {size}x{size} = {size * size} cells, above the limit of 2^24\n"
+
+    def test_matrix_of_exactly_the_limit_is_filled(self, capsys, monkeypatch):
+        monkeypatch.setattr(alexander, "MAX_MATRIX_CELLS", 4)
+        assert invoke(capsys, "gap", "--braid", "n=2; v1 s1") == (0, "1 - s - t + s*t\n", "")
+        code, out, err = invoke(capsys, "gap", "--braid", "n=3; v1 s1 s2")
+        assert (code, out) == (2, "")
+        assert err == "error: matrix would have 3x3 = 9 cells, above the limit of 2^24\n"
 
     def test_requires_exactly_one_source(self, capsys):
         code, out, err = invoke(capsys, "gap")
