@@ -35,6 +35,10 @@ from .terms import parse_presentation, presentation_from_braid, presentation_fro
 MAX_PRESENT_BYTES = 1 << 26
 
 
+# The word transformations of ``convert``, by --op name.
+_CONVERSIONS = {"invert": invert_braid, "mirror": vertical_mirror, "ad": ad_inversion, "reduce": free_reduce}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports bad command lines as parse errors."""
 
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="transform a braid word")
     p.add_argument("--braid", required=True, metavar="W", help="braid word")
-    p.add_argument("--op", required=True, choices=("invert", "mirror", "ad", "reduce"), help="transformation")
+    p.add_argument("--op", required=True, choices=_CONVERSIONS, help="transformation")
 
     return parser
 
@@ -173,16 +177,7 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    w = parse_braid_word(args.braid)
-    if args.op == "invert":
-        out = invert_braid(w)
-    elif args.op == "mirror":
-        out = vertical_mirror(w)
-    elif args.op == "ad":
-        out = ad_inversion(w)
-    else:
-        out = free_reduce(w)
-    print(render_braid_word(out))
+    print(render_braid_word(_CONVERSIONS[args.op](parse_braid_word(args.braid))))
     return 0
 
 
