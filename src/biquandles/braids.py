@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, read_decimal
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def parse_braid_word(text: str) -> BraidWord:
     m = _HEADER_RE.match(text)
     if not m:
         raise ParseError(f"braid word must start with 'n=<strands>;', got {text!r}")
-    n = int(m.group(1))
+    n = read_decimal(m.group(1), "strand count")
     if n < 1:
         raise ParseError(f"strand count must be >= 1, got {n}")
     letters = []
@@ -94,7 +94,7 @@ def parse_braid_word(text: str) -> BraidWord:
         neg, kind, digits = lm.groups()
         if neg and kind == "v":
             raise ParseError(f"bad letter {token!r}: virtual letters have no inverse form")
-        i = int(digits)
+        i = read_decimal(digits, "letter index")
         if not 1 <= i <= n - 1:
             raise ParseError(f"letter index {i} out of range for {n} strands")
         letters.append(nu(i) if kind == "v" else sigma(i, -1 if neg else 1))

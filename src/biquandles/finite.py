@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .alexander import OP_COEFFS as ALEXANDER_COEFFS
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_decimal
 from .laurent import check_modulus_bound, is_prime
 from .quaternion import OP_COEFFS as QUATERNION_COEFFS, Quaternion, left_matrix
 from .terms import OPS
@@ -239,9 +239,9 @@ def parse_table_file(text: str) -> FiniteBiquandle:
     if not lines or not lines[0].startswith("size"):
         raise ParseError("table file must start with 'size <m>'")
     parts = lines[0].split()
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2 or not parts[1].isdecimal():
         raise ParseError(f"bad size line {lines[0]!r}")
-    m = int(parts[1])
+    m = read_decimal(parts[1], "carrier size")
     if m < 1:
         raise ParseError(f"carrier size must be >= 1, got {m}")
     pos = 1

@@ -247,6 +247,29 @@ def test_file_that_is_not_utf8_exits_one(tmp_path, argv):
     assert proc.stderr == f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 25)\n"
 
 
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, tables, message",
+    [
+        (["gap", "--braid", f"n={LONG};"], None, "strand count has 5000 digits, too many to read"),
+        (["convert", "--braid", f"n=3; s{LONG}", "--op", "invert"], None, "letter index has 5000 digits, too many to read"),
+        (["axioms", "--tables"], f"size {LONG}\n", "carrier size has 5000 digits, too many to read"),
+        (["axioms", "--tables"], "size ²\nur\n0\n", "bad size line 'size ²'"),
+    ],
+    ids=["strand-count", "letter-index", "carrier-size", "superscript-size"],
+)
+def test_unreadable_number_exits_one(capsys, tmp_path, argv, tables, message):
+    """Numbers longer than int() reads, and a superscript digit that passes
+    str.isdigit, used to escape as a ValueError traceback."""
+    if tables is not None:
+        path = tmp_path / "t.tables"
+        path.write_text(tables, encoding="utf-8")
+        argv = [*argv, str(path)]
+    assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["gap", "qcheck"])
 def test_deeply_nested_presentation(capsys, tmp_path, command):
     """Parsing and linearizing do not recurse per nesting level."""
