@@ -7,9 +7,10 @@ Presentations and the Laurent braid matrices both come from the one upward
 fold ``braid_act_up``: the downward action is the upward action of the
 inverse word, read from the other end. ``linearize`` is the one linearizer
 behind both the Laurent and the quaternionic linearizations. ``_postorder``
-is the one walk over term DAGs: rendering, hashing, renaming, the generator
-check and ``linearize`` all take their node order from it, so each visits
-each distinct node once.
+is the one walk over term DAGs: rendering, hashing, repr, equality and
+renaming-equality (both compare structure numbers from ``_fold``), the
+generator check and ``linearize`` all take their node order from it, so
+each visits each distinct node once.
 Parsed presentations are hash-consed: a subterm repeated anywhere in a file
 is one shared node, so the text's tree becomes a DAG.
 
