@@ -66,15 +66,14 @@ def _fold(term: "BQTerm", leaf, node):
     return done[id(term)]
 
 
-def _structure_number(term: "BQTerm", key, rename: dict[str, str] | None = None) -> int:
-    """``term``'s number as a tree: ``key`` numbers each generator name, renamed
-    through ``rename`` if given, and each (op, left number, right number). Under
-    one injective ``key``, terms get equal numbers exactly when they are equal
-    as trees, whatever their sharing. A lookup-only ``key`` that answers -1 for
-    a missing entry gives -1 to every term with a subterm not numbered before.
+def _structure_number(term: "BQTerm", key) -> int:
+    """``term``'s number as a tree: ``key`` numbers each generator name and each
+    (op, left number, right number). Under one injective ``key``, terms get
+    equal numbers exactly when they are equal as trees, whatever their sharing.
+    A lookup-only ``key`` that answers -1 for a missing entry gives -1 to every
+    term with a subterm not numbered before.
     """
-    name = (lambda g: g.name) if rename is None else (lambda g: rename[g.name])
-    return _fold(term, lambda g: key(name(g)), lambda t, a, b: key((t.op, a, b)))
+    return _fold(term, lambda g: key(g.name), lambda t, a, b: key((t.op, a, b)))
 
 
 # Equality, hashing and repr walk the term with ``_fold``; the
@@ -415,14 +414,15 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
         )
     table: dict = {}
 
-    def relation_keys(pres: BQPresentation, key, rename=None) -> list[list[int]]:
+    def relation_keys(pres: BQPresentation, key) -> list[list[int]]:
         return sorted(
-            sorted(_structure_number(side, key, rename) for side in (rel.lhs, rel.rhs))
+            sorted(_structure_number(side, key) for side in (rel.lhs, rel.rhs))
             for rel in pres.relations
         )
 
     target = relation_keys(q, lambda k: table.setdefault(k, len(table)))
-    return any(
-        relation_keys(p, lambda k: table.get(k, -1), dict(zip(p.generators, perm))) == target
-        for perm in permutations(q.generators)
-    )
+    for perm in permutations(q.generators):
+        rename = dict(zip(p.generators, perm))  # node triples are not names, so they pass
+        if relation_keys(p, lambda k: table.get(rename.get(k, k), -1)) == target:
+            return True
+    return False
