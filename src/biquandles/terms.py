@@ -422,7 +422,7 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
 
     target = relation_keys(q, lambda k: table.setdefault(k, len(table)))
     for perm in permutations(q.generators):
-        rename = dict(zip(p.generators, perm))  # node triples are not names, so they pass
+        rename = dict(zip(p.generators, perm))  # a node triple is no name: rename.get keeps it
         if relation_keys(p, lambda k: table.get(rename.get(k, k), -1)) == target:
             return True
     return False
