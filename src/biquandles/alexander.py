@@ -59,13 +59,13 @@ def block_at(m2: LaurentMatrix, n: int, start: int) -> LaurentMatrix:
     return out
 
 
-# Left and right multipliers of each operation's linearization; a right
-# multiplier of None means the operation ignores its right operand.
+# Left and right multipliers of each operation's linearization; lr and ll
+# ignore their right operand, so its multiplier is ZERO.
 OP_COEFFS = {
     "ur": (T, ONE - S * T),
-    "lr": (S, None),
+    "lr": (S, ZERO),
     "ul": (_T_INV, ONE - _ST_INV),
-    "ll": (_S_INV, None),
+    "ll": (_S_INV, ZERO),
 }
 
 

@@ -113,12 +113,6 @@ def invert_braid(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(letter.inverse() for letter in reversed(w.letters)))
 
 
-def _cancels(a: BraidLetter, b: BraidLetter) -> bool:
-    if a.index != b.index or a.virtual != b.virtual:
-        return False
-    return True if a.virtual else a.exponent == -b.exponent
-
-
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs (and virtual squares) until none remain.
 
@@ -126,7 +120,7 @@ def free_reduce(w: BraidWord) -> BraidWord:
     """
     out: list[BraidLetter] = []
     for letter in w.letters:
-        if out and _cancels(out[-1], letter):
+        if out and out[-1].inverse() == letter:
             out.pop()
         else:
             out.append(letter)
@@ -144,12 +138,8 @@ RELATOR_FAMILIES = ("braid", "virtual", "mixed", "commute")
 def _match_relator(family: str, window: tuple[BraidLetter, ...], direction: int):
     """Return the replacement window if ``window`` matches the chosen side."""
     if family == "commute":
-        if len(window) != 2:
-            return None
         a, b = window
         return (b, a) if abs(a.index - b.index) >= 2 else None
-    if len(window) != 3:
-        return None
     a, b, c = window
     if family in ("braid", "virtual"):
         # x y x -> y x y: y is x's kind and exponent one strand up (direction

@@ -116,11 +116,8 @@ def _cmd_gap(args) -> int:
 
 
 def _parse_alexander_params(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ParseError(f"expected m,s,t with three integers, got {text!r}")
     try:
-        m, s, t = (int(part) for part in parts)
+        m, s, t = (int(part) for part in text.split(","))
     except ValueError:
         raise ParseError(f"expected m,s,t with three integers, got {text!r}") from None
     return m, s, t
@@ -196,12 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ParseError as e:
+    except (ParseError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, ParseError) else 2
 
 
 def run(args: list[str]) -> int:

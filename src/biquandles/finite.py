@@ -214,7 +214,7 @@ def finite_alexander_biquandle(m: int, s: int, t: int) -> FiniteBiquandle:
     if math.gcd(t, m) != 1:
         raise DomainError(f"t={t} is not a unit mod {m}")
     maps = {
-        op: tuple([[0 if c is None else c.evaluate_mod(s, t, m)]] for c in pair)
+        op: tuple([[c.evaluate_mod(s, t, m)]] for c in pair)
         for op, pair in ALEXANDER_COEFFS.items()
     }
     return _linear_biquandle(m, maps)

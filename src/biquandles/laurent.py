@@ -46,11 +46,7 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coeff
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -70,11 +66,7 @@ class LaurentPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__

@@ -332,10 +332,11 @@ def braid_act_down(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
 def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
     """Coefficient of each generator in the sum of ``c * term`` over (term, c).
 
-    ``rules`` maps each operation to its (left, right) multipliers; a right
-    multiplier of None drops that operand. The outer factor multiplies on the
-    left, which keeps quaternion order. Ring elements are false exactly when
-    zero; zero totals are left out.
+    ``rules`` maps each operation to its (left, right) multipliers. The outer
+    factor multiplies on the left, which keeps quaternion order. Ring
+    elements are false exactly when zero: a zero right multiplier (an
+    operation that ignores its right operand) is skipped, and zero totals
+    are left out.
 
     Each distinct node is visited once, so shared subterms cost one ring
     multiplication per edge of the term DAG, not per path of its tree: in
@@ -355,11 +356,11 @@ def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
         add(t, mult)
     for t in reversed(_postorder([term for term, _ in pairs])):
         flow = inflow.get(id(t))
-        if not flow:  # absent at generators, dropped operands and zero flow
+        if not flow:  # absent at generators, ignored operands and zero flow
             continue
         left_mult, right_mult = rules[t.op]
         add(t.left, flow * left_mult)
-        if right_mult is not None:
+        if right_mult:
             add(t.right, flow * right_mult)
     return {name: total for name, total in acc.items() if total}
 
