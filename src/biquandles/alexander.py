@@ -71,8 +71,14 @@ OP_COEFFS = {
 
 # The most cells a braid or relation matrix may have (n <= 4096 when square).
 # The matrix is dense, one list slot per cell, so it is refused before the
-# first row is linearized.
+# first row is linearized, and a braid's before its first term is built.
 MAX_MATRIX_CELLS = 1 << 24
+
+
+def _check_matrix_cells(rows: int, cols: int) -> None:
+    cells = rows * cols
+    if cells > MAX_MATRIX_CELLS:
+        raise DomainError(f"matrix would have {rows}x{cols} = {cells} cells, above the limit of 2^24")
 
 
 def _linear_rows(names: list[str], row_pairs: list) -> LaurentMatrix:
@@ -81,11 +87,7 @@ def _linear_rows(names: list[str], row_pairs: list) -> LaurentMatrix:
     Cells are shared objects (``ZERO``, and ``linearize``'s ``ONE`` and
     ``OP_COEFFS`` entries), so no caller may change a cell's terms in place.
     """
-    cells = len(row_pairs) * len(names)
-    if cells > MAX_MATRIX_CELLS:
-        raise DomainError(
-            f"matrix would have {len(row_pairs)}x{len(names)} = {cells} cells, above the limit of 2^24"
-        )
+    _check_matrix_cells(len(row_pairs), len(names))
     rows = []
     for pairs in row_pairs:
         coeffs = linearize(pairs, OP_COEFFS)
@@ -94,6 +96,7 @@ def _linear_rows(names: list[str], row_pairs: list) -> LaurentMatrix:
 
 
 def _braid_matrix(w: BraidWord, braid_act) -> LaurentMatrix:
+    _check_matrix_cells(w.strands, w.strands)
     names = generator_names(w.strands)
     image = braid_act(w, tuple(BQTerm.gen(name) for name in names))
     return _linear_rows(names, [[(t, ONE)] for t in image])
@@ -121,6 +124,7 @@ def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
 
 def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
     """Closure relations in matrix form: the upward word action minus identity."""
+    _check_matrix_cells(w.strands, w.strands)
     p = presentation_from_braid(w)
     return _linear_rows(p.generators, [[(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations])
 

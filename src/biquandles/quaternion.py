@@ -167,6 +167,11 @@ def q_relations_from_presentation(p: BQPresentation) -> QRelationSet:
     return QRelationSet(p.generators, rows)
 
 
+# The most cells a restricted matrix may have (256 generators when square).
+# The rank elimination is cubic, so the matrix is refused before it is built.
+MAX_RESTRICTED_CELLS = 1 << 20
+
+
 def scalar_restriction(rset: QRelationSet, p: int | None = None) -> list[list[int]]:
     """Expand quaternion relations to a plain integer matrix mod p.
 
@@ -179,7 +184,11 @@ def scalar_restriction(rset: QRelationSet, p: int | None = None) -> list[list[in
     if p is None:
         raise ValueError("scalar restriction needs a modulus")
     _check_modulus(p)
-    cols = 4 * len(rset.generators)
+    rows, cols = 4 * len(rset.rows), 4 * len(rset.generators)
+    if rows * cols > MAX_RESTRICTED_CELLS:
+        raise DomainError(
+            f"restricted matrix would have {rows}x{cols} = {rows * cols} cells, above the limit of 2^20"
+        )
     index = {name: 4 * k for k, name in enumerate(rset.generators)}
     out = []
     for row in rset.rows:

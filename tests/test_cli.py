@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import biquandles
-from biquandles import alexander, cli
-from biquandles.braids import random_braid, render_braid_word
+from biquandles import alexander, cli, quaternion
+from biquandles.braids import BraidWord, random_braid, render_braid_word
 from biquandles.cli import main, run
-from biquandles.terms import BQPresentation
+from biquandles.laurent import LaurentPoly
+from biquandles.terms import BQPresentation, presentation_from_braid
 
 # Child interpreters import the same package the tests imported, also from a
 # checkout where only pytest's own pythonpath setting points at src/.
@@ -389,3 +390,106 @@ class TestTopLevel:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+
+
+class TestStrandCountRefusals:
+    """The strand count alone decides these refusals, before any term is
+    built: n = 200000 took 2.9 s and 181 MB to reach the matrix cap."""
+
+    @pytest.mark.parametrize(
+        "argv", [["gap", "--braid", "n=200000;"], ["invariance", "--braid", "n=200000;", "--trials", "3", "--seed", "1"]]
+    )
+    def test_wide_matrix_refused_before_any_term(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("a presentation was built")
+
+        monkeypatch.setattr(alexander, "presentation_from_braid", never)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: matrix would have 200000x200000 = 40000000000 cells, above the limit of 2^24\n"
+
+    @pytest.mark.parametrize("down", [[], ["--down"]])
+    def test_present_refuses_a_huge_strand_count_from_its_text_floor(self, capsys, monkeypatch, down):
+        def never(*args):
+            raise AssertionError("a presentation was built")
+
+        monkeypatch.setattr(cli, "presentation_from_braid", never)
+        monkeypatch.setattr(cli, "presentation_from_braid_down", never)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "present", "--braid", "n=100000000;", *down)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: presentation text would be at least 2877777801 bytes, above the limit of 2^26\n"
+
+    def test_text_floor_never_exceeds_the_text(self):
+        for n in (1, 2, 26, 27, 99, 100, 101, 1000):
+            pres = presentation_from_braid(random_braid(n, 2 * n, seed=n))
+            floor = cli._present_bytes_floor(n)
+            assert floor <= pres.render_size()
+            if n <= 26:  # one-letter names: an empty word's text is its floor
+                assert floor == presentation_from_braid(BraidWord(n)).render_size()
+
+    def test_present_still_prints_a_wide_empty_word(self, capsys):
+        code, out, err = invoke(capsys, "present", "--braid", "n=200000;")
+        assert (code, err) == (0, "")
+        assert len(out) == 5666690
+        assert out.endswith("rel g200000 = g200000\n")
+
+
+class TestQcheckCap:
+    def test_wide_file_refused_before_restriction(self, capsys, tmp_path, monkeypatch):
+        """qcheck took 18 s at 500 generators of this file and 200 s at 1000."""
+
+        def never(*args):
+            raise AssertionError("a coefficient block was built")
+
+        monkeypatch.setattr(quaternion, "left_matrix", never)
+        names = [f"g{i}" for i in range(1, 301)]
+        path = tmp_path / "wide.bq"
+        path.write_text("gens " + " ".join(names) + "\n" + "".join(f"rel ur({g},{g}) = {g}\n" for g in names))
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "qcheck", "--presentation", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: restricted matrix would have 1200x1200 = 1440000 cells, above the limit of 2^20\n"
+
+    def test_restriction_of_exactly_the_limit_is_built(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(quaternion, "MAX_RESTRICTED_CELLS", 16)
+        path = tmp_path / "one.bq"
+        path.write_text("gens a\nrel ur(a,a) = a\n")
+        assert invoke(capsys, "qcheck", "--presentation", str(path)) == (0, "nontrivial (rank 2 of 4, dim 2)\n", "")
+        path.write_text("gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n")
+        code, out, err = invoke(capsys, "qcheck", "--presentation", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: restricted matrix would have 8x8 = 64 cells, above the limit of 2^20\n"
+
+    def test_kishino_is_far_below_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(quaternion, "MAX_RESTRICTED_CELLS", 12 * 12)
+        assert invoke(capsys, "qcheck", "--kishino") == (0, "nontrivial (rank 8 of 12, dim 4)\n", "")
+
+
+class TestInvarianceFailureReport:
+    def test_a_changed_polynomial_is_reported_and_exits_zero(self, capsys, monkeypatch):
+        """A move that changed the polynomial prints the word, both values
+        and FAIL; it is a result, so the exit code stays 0."""
+        real_gap, calls = cli.gap, []
+
+        def gap_that_changes(word):
+            calls.append(word)
+            return real_gap(word) if len(calls) < 3 else LaurentPoly.const(7)
+
+        monkeypatch.setattr(cli, "gap", gap_that_changes)
+        code, out, err = invoke(capsys, "invariance", "--braid", "n=2; v1 s1", "--trials", "4", "--seed", "7")
+        assert (code, err) == (0, "")
+        assert out == (
+            "base gap: 1 - s - t + s*t\n"
+            "trial 1: conjugate v1, gap unchanged\n"
+            "trial 2: conjugate -s1, gap changed\n"
+            "  word: n=2; v1 s1\n"
+            "  expected: 1 - s - t + s*t\n"
+            "  got: 7\n"
+            "FAIL\n"
+        )
+        assert len(calls) == 3
