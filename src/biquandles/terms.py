@@ -26,6 +26,7 @@ with ``TERM := IDENT | OP "(" TERM "," TERM ")"`` and IDENT matching
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -404,6 +405,8 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
     Each relation is keyed by the sorted structure numbers of its sides. q's
     terms are numbered once; each renaming of p only looks numbers up, so no
     term is built or rendered per bijection and the table holds q's nodes only.
+    A bijection is dropped at p's first relation whose key q has no copy of
+    left.
     """
     if len(p.generators) != len(q.generators):
         return False
@@ -415,15 +418,18 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
         )
     table: dict = {}
 
-    def relation_keys(pres: BQPresentation, key) -> list[list[int]]:
-        return sorted(
-            sorted(_structure_number(side, key) for side in (rel.lhs, rel.rhs))
-            for rel in pres.relations
-        )
+    def relation_key(rel: BQRelation, key) -> tuple[int, int]:
+        return tuple(sorted(_structure_number(side, key) for side in (rel.lhs, rel.rhs)))
 
-    target = relation_keys(q, lambda k: table.setdefault(k, len(table)))
+    target = Counter(relation_key(rel, lambda k: table.setdefault(k, len(table))) for rel in q.relations)
     for perm in permutations(q.generators):
         rename = dict(zip(p.generators, perm))  # a node triple is no name: rename.get keeps it
-        if relation_keys(p, lambda k: table.get(rename.get(k, k), -1)) == target:
+        unmatched = target.copy()
+        for rel in p.relations:
+            found = relation_key(rel, lambda k: table.get(rename.get(k, k), -1))
+            if not unmatched[found]:
+                break
+            unmatched[found] -= 1
+        else:
             return True
     return False
