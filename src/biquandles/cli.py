@@ -28,6 +28,7 @@ from .finite import (
 from .laurent import format_poly
 from .quaternion import kishino_certificate, module_is_trivial
 from .terms import parse_presentation, presentation_from_braid, presentation_from_braid_down
+from .terms import presentation_size_floor
 
 # The most bytes ``present`` prints. A braid's presentation text grows
 # exponentially in letters per strand while the term DAG behind it stays
@@ -96,22 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _present_bytes_floor(n: int) -> int:
-    """A lower bound on the text of an n-strand presentation, from n alone: the
-    gens line, and per strand ``rel `` + the shortest name + `` = `` + that
-    strand's name + a newline. Names are those of ``generator_names``: one
-    letter up to 26 strands, else ``g`` and the digits of 1..n.
-    """
-    if n <= 26:
-        shortest, names = 1, n
-    else:
-        shortest, names = 2, n + sum(n - 10**d + 1 for d in range(len(str(n))))
-    return len("gens \n") + (n - 1) + names + n * (len("rel  = \n") + shortest) + names
-
-
 def _cmd_present(args) -> int:
     w = parse_braid_word(args.braid)
-    floor = _present_bytes_floor(w.strands)
+    floor = presentation_size_floor(w.strands)
     if floor > MAX_PRESENT_BYTES:
         raise DomainError(f"presentation text would be at least {floor} bytes, above the limit of 2^26")
     pres = presentation_from_braid_down(w) if args.down else presentation_from_braid(w)

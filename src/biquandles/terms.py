@@ -373,6 +373,19 @@ def generator_names(n: int) -> list[str]:
     return [f"g{i + 1}" for i in range(n)]
 
 
+def presentation_size_floor(n: int) -> int:
+    """A lower bound on the ``render_size`` of any n-strand braid's
+    presentation, from n alone and without building a name: the gens line,
+    and per strand ``rel `` + the shortest name + `` = `` + that strand's name
+    + a newline. Past 26 strands the names are ``g`` and the digits of 1..n.
+    """
+    if n <= 26:
+        shortest, names = 1, n
+    else:
+        shortest, names = 2, n + sum(n - 10**d + 1 for d in range(len(str(n))))
+    return len("gens \n") + (n - 1) + names + n * (len("rel  = \n") + shortest) + names
+
+
 def presentation_from_braid(w: BraidWord) -> BQPresentation:
     """Biquandle of the braid closure, traversing the diagram upward.
 

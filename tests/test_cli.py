@@ -11,7 +11,8 @@ from biquandles import alexander, cli, quaternion
 from biquandles.braids import BraidWord, random_braid, render_braid_word
 from biquandles.cli import main, run
 from biquandles.laurent import LaurentPoly
-from biquandles.terms import BQPresentation, presentation_from_braid
+from biquandles.terms import BQPresentation, presentation_from_braid, presentation_from_braid_down
+from biquandles.terms import presentation_size_floor
 
 # Child interpreters import the same package the tests imported, also from a
 # checkout where only pytest's own pythonpath setting points at src/.
@@ -425,9 +426,10 @@ class TestStrandCountRefusals:
 
     def test_text_floor_never_exceeds_the_text(self):
         for n in (1, 2, 26, 27, 99, 100, 101, 1000):
-            pres = presentation_from_braid(random_braid(n, 2 * n, seed=n))
-            floor = cli._present_bytes_floor(n)
-            assert floor <= pres.render_size()
+            w = random_braid(n, 2 * n, seed=n)
+            floor = presentation_size_floor(n)
+            assert floor <= presentation_from_braid(w).render_size()
+            assert floor <= presentation_from_braid_down(w).render_size()
             if n <= 26:  # one-letter names: an empty word's text is its floor
                 assert floor == presentation_from_braid(BraidWord(n)).render_size()
 
