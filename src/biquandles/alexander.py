@@ -14,29 +14,28 @@ from .braids import BraidWord
 from .errors import DomainError
 from .laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
 from .terms import BQPresentation, BQTerm, braid_act_down, braid_act_up, generator_names
-from .terms import linearize, presentation_from_braid
+from .terms import linearize, presentation_from_braid, switch_rules
 
 _S_INV = LaurentPoly.monomial(1, -1, 0)
 _T_INV = LaurentPoly.monomial(1, 0, -1)
 _ST_INV = LaurentPoly.monomial(1, -1, -1)
 
-# The printed 2x2 crossing matrices, kept as reference data: tests check the
-# linearized term morphisms against this table, and no computation reads it.
+# The printed 2x2 crossing matrices. A and B, the positive upward crossing
+# and its inverse, give ``OP_COEFFS``; tests check the rest against the
+# linearized term morphisms.
 _CROSSING_MATRICES = {
-    # Positive upward crossing and its hat (strand-swapped) partner.
-    "A": ((ONE - S * T, T), (S, LaurentPoly())),
-    "Ahat": ((LaurentPoly(), S), (T, ONE - S * T)),
-    # Inverse crossing pair.
-    "B": ((LaurentPoly(), _S_INV), (_T_INV, ONE - _ST_INV)),
-    "Bhat": ((ONE - _ST_INV, _T_INV), (_S_INV, LaurentPoly())),
+    "A": ((ONE - S * T, T), (S, ZERO)),
+    "B": ((ZERO, _S_INV), (_T_INV, ONE - _ST_INV)),
     # Mixed-variable pair used by the horizontal-mirror symmetry.
-    "C": ((LaurentPoly(), _S_INV), (T, _S_INV - T)),
-    "Chat": ((_S_INV - T, T), (_S_INV, LaurentPoly())),
-    "D": ((LaurentPoly(), S), (_T_INV, S - _T_INV)),
-    "Dhat": ((S - _T_INV, _T_INV), (S, LaurentPoly())),
+    "C": ((ZERO, _S_INV), (T, _S_INV - T)),
+    "D": ((ZERO, S), (_T_INV, S - _T_INV)),
     # Virtual crossing: plain swap.
-    "V": ((LaurentPoly(), ONE), (ONE, LaurentPoly())),
+    "V": ((ZERO, ONE), (ONE, ZERO)),
 }
+# Each hat partner is the strand swap ((d, c), (b, a)) of ((a, b), (c, d)).
+_CROSSING_MATRICES.update(
+    {name + "hat": ((d, c), (b, a)) for name, ((a, b), (c, d)) in _CROSSING_MATRICES.items() if name != "V"}
+)
 
 
 def crossing_matrix(name: str) -> LaurentMatrix:
@@ -61,12 +60,7 @@ def block_at(m2: LaurentMatrix, n: int, start: int) -> LaurentMatrix:
 
 # Left and right multipliers of each operation's linearization; lr and ll
 # ignore their right operand, so its multiplier is ZERO.
-OP_COEFFS = {
-    "ur": (T, ONE - S * T),
-    "lr": (S, ZERO),
-    "ul": (_T_INV, ONE - _ST_INV),
-    "ll": (_S_INV, ZERO),
-}
+OP_COEFFS = switch_rules(_CROSSING_MATRICES["A"], _CROSSING_MATRICES["B"])
 
 
 # The most cells a braid or relation matrix may have (n <= 4096 when square).

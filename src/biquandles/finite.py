@@ -236,7 +236,7 @@ def parse_table_file(text: str) -> FiniteBiquandle:
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
-    if not lines or not lines[0].startswith("size"):
+    if not lines or lines[0].split()[0] != "size":
         raise ParseError("table file must start with 'size <m>'")
     parts = lines[0].split()
     if len(parts) != 2 or not parts[1].isdecimal():
@@ -263,8 +263,10 @@ def parse_table_file(text: str) -> FiniteBiquandle:
                     f"{op} table row has {len(entries)} entries, expected {m}"
                 )
             try:
+                if not "".join(entries).isdecimal():  # int() also reads signs and underscores
+                    raise ValueError
                 row = [int(e) for e in entries]
-            except ValueError:
+            except ValueError:  # also an entry with more digits than int reads
                 raise ParseError(f"non-integer entry in {op} table row {lines[pos]!r}") from None
             for v in row:
                 if not 0 <= v < m:

@@ -1,13 +1,13 @@
 """Integer quaternions and quaternionic linearization of biquandle presentations.
 
-Presentations linearize over the quaternions with crossing rules
-
-    ur(a,b) -> i*a + (i+j)*b      ul(a,b) -> i*a + (1-j)*b
-    lr(a,b) -> -i*a + (i+j)*b     ll(a,b) -> -i*a + (1-j)*b
-
-giving one quaternionic linear relation per presentation relation. Reducing
-the coefficients mod a prime p and restricting scalars to Z_p turns the
-system into a plain matrix over Z_p whose rank decides whether the module is
+Presentations linearize over the quaternions with the rules that
+``terms.switch_rules`` reads off S = [[i+j, i], [-i, i+j]] at a positive
+crossing and S' = [[1-j, -i], [i, 1-j]] at a negative one, giving one
+quaternionic linear relation per presentation relation. S·S' is not the
+identity, so the pair is not a switch, and S fails the Yang–Baxter equation:
+a closure-preserving move can change the ``qcheck`` dimension. Reducing the
+coefficients mod a prime p and restricting scalars to Z_p turns the system
+into a plain matrix over Z_p whose rank decides whether the module is
 trivial. A nontrivial module certifies the knot is not classical-trivial.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .laurent import check_modulus_bound, eliminate_mod, is_prime
-from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, ul, ur
+from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, switch_rules, ul, ur
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,12 @@ def left_matrix(q: Quaternion) -> list[list[int]]:
     ]
 
 
-# Left and right multipliers of each operation's linearization.
-OP_COEFFS = {
-    "ur": (I_Q, I_Q + J_Q),
-    "ul": (I_Q, ONE_Q - J_Q),
-    "lr": (-I_Q, I_Q + J_Q),
-    "ll": (-I_Q, ONE_Q - J_Q),
-}
+# (S, S') of the module docstring, and each operation's multipliers read off it.
+_CROSSING_PAIR = (
+    ((I_Q + J_Q, I_Q), (-I_Q, I_Q + J_Q)),
+    ((ONE_Q - J_Q, -I_Q), (I_Q, ONE_Q - J_Q)),
+)
+OP_COEFFS = switch_rules(*_CROSSING_PAIR)
 
 
 def q_linearize_term(term: BQTerm) -> dict[str, Quaternion]:

@@ -36,13 +36,14 @@ from .errors import DomainError, ParseError
 OPS = ("ur", "lr", "ul", "ll")
 
 
-def _postorder(roots) -> list["BQTerm"]:
+def _postorder(roots, seen: set[int] | None = None) -> list["BQTerm"]:
     """Each distinct node reachable from ``roots``, generators included, after
-    its operands; left operands before right ones, roots in order. Iterative,
-    so depth is bounded by memory.
+    its operands; left operands before right ones, roots in order. Nodes whose
+    ids are in ``seen`` are left out, and ``seen`` gains the ids listed.
+    Iterative, so depth is bounded by memory.
     """
     order: list[BQTerm] = []
-    seen: set[int] = set()
+    seen = set() if seen is None else seen
     stack = [(t, False) for t in reversed(roots)]
     while stack:
         t, operands_done = stack.pop()
@@ -284,9 +285,9 @@ def parse_presentation(text: str) -> BQPresentation:
     return BQPresentation(generators, relations)
 
 
-# Crossing morphisms on pairs of terms. The positive upward crossing sends
-# (a, b) to (ur(b,a), lr(a,b)); its inverse and the downward pair follow the
-# same switching pattern with the left/right operation roles exchanged.
+# Crossing morphisms on pairs of terms: phi_u(a, b) = (ur(b,a), lr(a,b)) and
+# phi_u_inv(a, b) = (ll(b,a), ul(a,b)). A downward crossing is the upward one of
+# the other sign conjugated by the strand swap: called on (b, a), then reversed.
 def apply_morphism(kind: str, pair: tuple[BQTerm, BQTerm]) -> tuple[BQTerm, BQTerm]:
     a, b = pair
     if kind == "phi_u":
@@ -294,12 +295,22 @@ def apply_morphism(kind: str, pair: tuple[BQTerm, BQTerm]) -> tuple[BQTerm, BQTe
     if kind == "phi_u_inv":
         return (ll(b, a), ul(a, b))
     if kind == "phi_d":
-        return (ul(b, a), ll(a, b))
+        return apply_morphism("phi_u_inv", (b, a))[::-1]
     if kind == "phi_d_inv":
-        return (lr(b, a), ur(a, b))
+        return apply_morphism("phi_u", (b, a))[::-1]
     if kind == "tau":
         return (b, a)
     raise ValueError(f"unknown morphism {kind!r}")
+
+
+def switch_rules(switch, inverse) -> dict:
+    """Each operation's (left, right) multipliers, read off the 2x2 matrices of
+    phi_u and phi_u_inv: rows are output slots and columns the input pair
+    (a, b), as in ``braid_matrix_up`` of one letter.
+    """
+    (ur_right, ur_left), lr_pair = switch
+    (ll_right, ll_left), ul_pair = inverse
+    return {"ur": (ur_left, ur_right), "lr": tuple(lr_pair), "ul": tuple(ul_pair), "ll": (ll_left, ll_right)}
 
 
 def braid_act_up(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
@@ -323,9 +334,9 @@ def braid_act_down(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
 
     The downward action is a homomorphism on words. Slot positions count
     from the top strand: a letter with index i acts on slots n-1-i and n-i
-    through phi_d, phi_d_inv or tau. Since phi_d(a, b) is phi_u_inv(b, a)
-    swapped and phi_d_inv(a, b) is phi_u(b, a) swapped, this is the upward
-    action of the inverse word on the reversed tuple, reversed.
+    through phi_d, phi_d_inv or tau. By ``apply_morphism``'s swap identity,
+    this is the upward action of the inverse word on the reversed tuple,
+    reversed.
     """
     return braid_act_up(invert_braid(w), tup[::-1])[::-1]
 
@@ -418,8 +429,9 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
     Each relation is keyed by the sorted structure numbers of its sides. q's
     terms are numbered once; each renaming of p only looks numbers up, so no
     term is built or rendered per bijection and the table holds q's nodes only.
-    A bijection is dropped at p's first relation whose key q has no copy of
-    left.
+    p is walked once, in one ``_postorder`` segment per relation: the nodes it
+    reaches first. A bijection numbers each node once, and it is dropped at
+    p's first relation whose key q has no copy of left.
     """
     if len(p.generators) != len(q.generators):
         return False
@@ -431,15 +443,20 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
         )
     table: dict = {}
 
-    def relation_key(rel: BQRelation, key) -> tuple[int, int]:
-        return tuple(sorted(_structure_number(side, key) for side in (rel.lhs, rel.rhs)))
+    def number(side: BQTerm) -> int:
+        return _structure_number(side, lambda k: table.setdefault(k, len(table)))
 
-    target = Counter(relation_key(rel, lambda k: table.setdefault(k, len(table))) for rel in q.relations)
+    target = Counter(tuple(sorted((number(rel.lhs), number(rel.rhs)))) for rel in q.relations)
+    seen: set[int] = set()
+    segments = [_postorder([rel.lhs, rel.rhs], seen) for rel in p.relations]
     for perm in permutations(q.generators):
-        rename = dict(zip(p.generators, perm))  # a node triple is no name: rename.get keeps it
-        unmatched = target.copy()
-        for rel in p.relations:
-            found = relation_key(rel, lambda k: table.get(rename.get(k, k), -1))
+        rename = dict(zip(p.generators, perm))
+        numbers, unmatched = {}, target.copy()
+        for rel, segment in zip(p.relations, segments):
+            for t in segment:  # numbered as ``_structure_number`` does with a lookup-only key
+                key = rename[t.name] if t.op is None else (t.op, numbers[id(t.left)], numbers[id(t.right)])
+                numbers[id(t)] = table.get(key, -1)
+            found = tuple(sorted((numbers[id(rel.lhs)], numbers[id(rel.rhs)])))
             if not unmatched[found]:
                 break
             unmatched[found] -= 1

@@ -246,6 +246,21 @@ class TestTableFiles:
         with pytest.raises(ParseError):
             parse_table_file("size 1\nur\nz\nlr\n0\nul\n0\nll\n0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sizex 1\nur\n0\nlr\n0\nul\n0\nll\n0\n", "table file must start with 'size <m>'"),
+            ("size 1\nur\n0_0\nlr\n0\nul\n0\nll\n0\n", "non-integer entry in ur table row '0_0'"),
+            ("size 1\nur\n+0\nlr\n0\nul\n0\nll\n0\n", "non-integer entry in ur table row '+0'"),
+            (f"size 1\nur\n{'0' * 5000}\n", f"non-integer entry in ur table row '{'0' * 5000}'"),
+        ],
+        ids=["keyword-prefix", "underscore", "sign", "over-long"],
+    )
+    def test_exact_keyword_and_unsigned_decimal_entries(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_table_file(text)
+        assert str(err.value) == message
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ParseError):
             parse_table_file("size 1\nur\n3\nlr\n0\nul\n0\nll\n0\n")

@@ -48,3 +48,14 @@ def test_readme_example(capsys, command, expected):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert re.fullmatch(_pattern(expected), captured.out), captured.out
+
+
+def test_readme_python_example(capsys):
+    """The library example prints the presentation the ``biq present`` example
+    shows, a blank line (``render`` ends in a newline), then the polynomial its
+    comment names."""
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    exec(compile(block, str(README), "exec"), {})
+    (polynomial,) = re.findall(r"print\(gap_text\(word\)\)  # (.+)", block)
+    presentation = dict(EXAMPLES)['biq present --braid "n=2; v1 s1"']
+    assert capsys.readouterr().out == "\n".join(presentation) + "\n\n" + polynomial + "\n"
