@@ -58,8 +58,6 @@ def block_at(m2: LaurentMatrix, n: int, start: int) -> LaurentMatrix:
     return out
 
 
-# Left and right multipliers of each operation's linearization; lr and ll
-# ignore their right operand, so its multiplier is ZERO.
 OP_COEFFS = switch_rules(_CROSSING_MATRICES["A"], _CROSSING_MATRICES["B"])
 
 

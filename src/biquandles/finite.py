@@ -239,7 +239,7 @@ def parse_table_file(text: str) -> FiniteBiquandle:
     if not lines or lines[0].split()[0] != "size":
         raise ParseError("table file must start with 'size <m>'")
     parts = lines[0].split()
-    if len(parts) != 2 or not parts[1].isdecimal():
+    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdecimal()):
         raise ParseError(f"bad size line {lines[0]!r}")
     m = read_decimal(parts[1], "carrier size")
     if m < 1:
@@ -262,8 +262,8 @@ def parse_table_file(text: str) -> FiniteBiquandle:
                 raise ParseError(
                     f"{op} table row has {len(entries)} entries, expected {m}"
                 )
-            try:
-                if not "".join(entries).isdecimal():  # int() also reads signs and underscores
+            try:  # int() also reads signs, underscores and other scripts' digits
+                if not ((digits := "".join(entries)).isascii() and digits.isdecimal()):
                     raise ValueError
                 row = [int(e) for e in entries]
             except ValueError:  # also an entry with more digits than int reads

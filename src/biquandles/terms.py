@@ -36,14 +36,13 @@ from .errors import DomainError, ParseError
 OPS = ("ur", "lr", "ul", "ll")
 
 
-def _postorder(roots, seen: set[int] | None = None) -> list["BQTerm"]:
+def _postorder(roots) -> list["BQTerm"]:
     """Each distinct node reachable from ``roots``, generators included, after
-    its operands; left operands before right ones, roots in order. Nodes whose
-    ids are in ``seen`` are left out, and ``seen`` gains the ids listed.
-    Iterative, so depth is bounded by memory.
+    its operands; left operands before right ones, roots in order. Iterative,
+    so depth is bounded by memory.
     """
     order: list[BQTerm] = []
-    seen = set() if seen is None else seen
+    seen: set[int] = set()
     stack = [(t, False) for t in reversed(roots)]
     while stack:
         t, operands_done = stack.pop()
@@ -305,12 +304,9 @@ def apply_morphism(kind: str, pair: tuple[BQTerm, BQTerm]) -> tuple[BQTerm, BQTe
 
 def switch_rules(switch, inverse) -> dict:
     """Each operation's (left, right) multipliers, read off the 2x2 matrices of
-    phi_u and phi_u_inv: rows are output slots and columns the input pair
-    (a, b), as in ``braid_matrix_up`` of one letter.
+    phi_u and phi_u_inv: rows are output slots, columns the input pair (a, b).
     """
-    (ur_right, ur_left), lr_pair = switch
-    (ll_right, ll_left), ul_pair = inverse
-    return {"ur": (ur_left, ur_right), "lr": tuple(lr_pair), "ul": tuple(ul_pair), "ll": (ll_left, ll_right)}
+    return {"ur": switch[0][::-1], "lr": switch[1], "ul": inverse[1], "ll": inverse[0][::-1]}
 
 
 def braid_act_up(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
@@ -429,9 +425,8 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
     Each relation is keyed by the sorted structure numbers of its sides. q's
     terms are numbered once; each renaming of p only looks numbers up, so no
     term is built or rendered per bijection and the table holds q's nodes only.
-    p is walked once, in one ``_postorder`` segment per relation: the nodes it
-    reaches first. A bijection numbers each node once, and it is dropped at
-    p's first relation whose key q has no copy of left.
+    A bijection is dropped at p's first relation whose key q has no copy of
+    left.
     """
     if len(p.generators) != len(q.generators):
         return False
@@ -443,20 +438,15 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
         )
     table: dict = {}
 
-    def number(side: BQTerm) -> int:
-        return _structure_number(side, lambda k: table.setdefault(k, len(table)))
+    def relation_key(rel: BQRelation, key) -> tuple[int, int]:
+        return tuple(sorted(_structure_number(side, key) for side in (rel.lhs, rel.rhs)))
 
-    target = Counter(tuple(sorted((number(rel.lhs), number(rel.rhs)))) for rel in q.relations)
-    seen: set[int] = set()
-    segments = [_postorder([rel.lhs, rel.rhs], seen) for rel in p.relations]
+    target = Counter(relation_key(rel, lambda k: table.setdefault(k, len(table))) for rel in q.relations)
     for perm in permutations(q.generators):
-        rename = dict(zip(p.generators, perm))
-        numbers, unmatched = {}, target.copy()
-        for rel, segment in zip(p.relations, segments):
-            for t in segment:  # numbered as ``_structure_number`` does with a lookup-only key
-                key = rename[t.name] if t.op is None else (t.op, numbers[id(t.left)], numbers[id(t.right)])
-                numbers[id(t)] = table.get(key, -1)
-            found = tuple(sorted((numbers[id(rel.lhs)], numbers[id(rel.rhs)])))
+        rename = dict(zip(p.generators, perm))  # a node triple is no name: rename.get keeps it
+        unmatched = target.copy()
+        for rel in p.relations:
+            found = relation_key(rel, lambda k: table.get(rename.get(k, k), -1))
             if not unmatched[found]:
                 break
             unmatched[found] -= 1

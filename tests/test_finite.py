@@ -253,8 +253,10 @@ class TestTableFiles:
             ("size 1\nur\n0_0\nlr\n0\nul\n0\nll\n0\n", "non-integer entry in ur table row '0_0'"),
             ("size 1\nur\n+0\nlr\n0\nul\n0\nll\n0\n", "non-integer entry in ur table row '+0'"),
             (f"size 1\nur\n{'0' * 5000}\n", f"non-integer entry in ur table row '{'0' * 5000}'"),
+            ("size 1\nur\n٠\nlr\n0\nul\n0\nll\n0\n", "non-integer entry in ur table row '٠'"),
+            ("size １\nur\n0\nlr\n0\nul\n0\nll\n0\n", "bad size line 'size １'"),
         ],
-        ids=["keyword-prefix", "underscore", "sign", "over-long"],
+        ids=["keyword-prefix", "underscore", "sign", "over-long", "non-ascii-digit", "non-ascii-size"],
     )
     def test_exact_keyword_and_unsigned_decimal_entries(self, text, message):
         with pytest.raises(ParseError) as err:

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from biquandles import alexander, quaternion, terms
+from biquandles import alexander, quaternion
 from biquandles.braids import invert_braid, parse_braid_word, random_braid
 from biquandles.errors import DomainError, ParseError
 from biquandles.laurent import ONE, ZERO, LaurentPoly, S, T
@@ -85,19 +85,17 @@ RINGS = {
 
 
 # Each ring's crossing pair (the positive crossing and its inverse) as rows of
-# output slots over the input pair, its one and zero, and its per-operation
-# multipliers written out by hand.
+# output slots over the input pair, and its per-operation multipliers written
+# out by hand.
 _S_INV, _T_INV, _ST_INV = (LaurentPoly.monomial(1, i, j) for i, j in ((-1, 0), (0, -1), (-1, -1)))
 _I, _J = Quaternion(0, 1), Quaternion(0, 0, 1)
 SWITCHES = {
     "alexander": (
-        (alexander.crossing_matrix("A").entries, alexander.crossing_matrix("B").entries),
-        (ONE, ZERO),
+        (alexander._CROSSING_MATRICES["A"], alexander._CROSSING_MATRICES["B"]),
         {"ur": (T, ONE - S * T), "lr": (S, ZERO), "ul": (_T_INV, ONE - _ST_INV), "ll": (_S_INV, ZERO)},
     ),
     "quaternion": (
         quaternion._CROSSING_PAIR,
-        (Quaternion(1), Quaternion()),
         {
             "ur": (_I, _I + _J),
             "ul": (_I, Quaternion(1) - _J),
@@ -108,6 +106,12 @@ SWITCHES = {
 }
 
 
+@pytest.mark.parametrize("ring", sorted(SWITCHES))
+def test_switch_rules_read_the_written_out_table(ring):
+    pair, table = SWITCHES[ring]
+    assert switch_rules(*pair) == table
+
+
 def _matmul(x, y):
     """Matrix product over any ring with + and *, entries multiplied in order."""
     return [
@@ -116,43 +120,28 @@ def _matmul(x, y):
     ]
 
 
-def _embed(m, at, n, one, zero):
-    """The 2x2 matrix m in the n x n identity at rows and columns at, at + 1."""
-    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _embed(m, at):
+    """The 2x2 quaternion matrix m in the 3 x 3 identity at rows and columns at, at + 1."""
+    out = [[Quaternion(int(i == j)) for j in range(3)] for i in range(3)]
     for i, j in itertools.product(range(2), repeat=2):
         out[at + i][at + j] = m[i][j]
     return out
 
 
-@pytest.mark.parametrize("ring", sorted(SWITCHES))
-def test_switch_rules_read_the_written_out_table(ring):
-    pair, _, table = SWITCHES[ring]
-    assert switch_rules(*pair) == table
-    assert RINGS[ring][0] == table
-
-
 @pytest.mark.parametrize("identity", ["inverse", "yang_baxter"])
-@pytest.mark.parametrize(
-    "ring",
-    [
-        "alexander",
-        pytest.param(
-            "quaternion",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="quaternion: S·S' != I and S fails (S×1)(1×S)(S×1) = (1×S)(S×1)(1×S), so the pair is no switch",
-            ),
-        ),
-    ],
+@pytest.mark.xfail(
+    strict=True,
+    reason="S·S' != I and S fails (S×1)(1×S)(S×1) = (1×S)(S×1)(1×S), so the quaternion pair is no switch",
 )
-def test_crossing_pair_is_a_switch(ring, identity):
+def test_quaternion_crossing_pair_is_a_switch(identity):
     """S·S⁻¹ = I and the Yang–Baxter equation, the linear-switch conditions of
-    Fenn, Jordan-Santana and Kauffman, "Biquandles and virtual links" (2004)."""
-    (switch, inverse), (one, zero), _ = SWITCHES[ring]
+    Fenn, Jordan-Santana and Kauffman, "Biquandles and virtual links" (2004).
+    The Laurent pair passes both in ``test_acceptance.py``."""
+    switch, inverse = quaternion._CROSSING_PAIR
     if identity == "inverse":
-        assert _matmul(switch, inverse) == [[one, zero], [zero, one]]
+        assert _matmul(switch, inverse) == [[Quaternion(1), Quaternion()], [Quaternion(), Quaternion(1)]]
     else:
-        left, right = _embed(switch, 0, 3, one, zero), _embed(switch, 1, 3, one, zero)
+        left, right = _embed(switch, 0), _embed(switch, 1)
         assert _matmul(_matmul(left, right), left) == _matmul(_matmul(right, left), right)
 
 
@@ -769,20 +758,3 @@ def test_renaming_search_stops_at_the_first_unmatched_relation():
     start = time.perf_counter()
     assert not presentations_equal_up_to_renaming(p, q)
     assert time.perf_counter() - start < 2
-
-
-def test_renaming_search_walks_each_presentation_once(monkeypatch):
-    """q changes one operation in the last relation, so every bijection fails,
-    the identity only there. The number of ``_postorder`` walks is one per
-    relation of p and one per side of q's relations, for 6 bijections as for
-    720; numbering p's sides per bijection walked at least twice per bijection."""
-    walks = []
-    postorder = terms._postorder
-    monkeypatch.setattr(terms, "_postorder", lambda *args: walks.append(None) or postorder(*args))
-    for n in (3, 6):
-        p = presentation_from_braid(random_braid(n, 3 * n, seed=n))
-        head, tail = p.render().rsplit("ur(", 1)
-        q = parse_presentation(head + "ul(" + tail)
-        walks.clear()
-        assert not presentations_equal_up_to_renaming(p, q)
-        assert len(walks) == 3 * n
