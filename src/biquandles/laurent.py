@@ -7,6 +7,7 @@ is no floating point anywhere in this module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from math import isqrt, prod
@@ -155,41 +156,48 @@ S = LaurentPoly.monomial(1, 1, 0)
 T = LaurentPoly.monomial(1, 0, 1)
 
 
-def _format_monomial(i: int, j: int, coeff: int) -> str:
+def _format_monomial(i: int, j: int) -> str:
+    """The unit text of s^i * t^j: ``s^2*t``, or ``""`` for a constant."""
     parts = []
     if i:
         parts.append("s" if i == 1 else f"s^{i}")
     if j:
         parts.append("t" if j == 1 else f"t^{j}")
-    mag = abs(coeff)
-    if not parts:
-        return str(mag)
-    if mag != 1:
-        parts.insert(0, str(mag))
     return "*".join(parts)
 
 
-def format_poly(p: LaurentPoly) -> str:
-    """Canonical text form: terms ascending by (t-degree, s-degree).
+def format_signed_sum(terms, sep: str) -> str:
+    """Text of a sum of (coefficient, unit) pairs, in the order given.
 
     The first term keeps its sign attached; later terms join with " + " or
-    " - ". Unit coefficients are elided except on constants.
+    " - ". A magnitude of 1 is dropped before a nonempty unit; any other
+    magnitude is followed by ``sep`` and the unit. The empty sum is "0".
     """
-    if not p.terms:
+    out = []
+    for coeff, unit in terms:
+        mag = abs(coeff)
+        out.append(" - " if coeff < 0 else " + ")
+        out.append(f"{mag}{sep}{unit}" if unit and mag != 1 else unit or str(mag))
+    if not out:
         return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
+def format_poly(p: LaurentPoly) -> str:
+    """Canonical text form: terms ascending by (t-degree, s-degree), written
+    by ``format_signed_sum`` with ``*`` between a coefficient and its unit.
+    """
     items = sorted(p.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    (i0, j0), c0 = items[0]
-    head = _format_monomial(i0, j0, c0)
-    out = f"-{head}" if c0 < 0 else head
-    for (i, j), c in items[1:]:
-        joiner = " - " if c < 0 else " + "
-        out += joiner + _format_monomial(i, j, c)
-    return out
+    return format_signed_sum([(c, _format_monomial(i, j)) for (i, j), c in items], "*")
 
 
+@dataclass(repr=False)
 class LaurentMatrix:
-    def __init__(self, entries: list[list[LaurentPoly]]):
-        self.entries = [list(row) for row in entries]
+    entries: list[list[LaurentPoly]]
+
+    def __post_init__(self):
+        self.entries = [list(row) for row in self.entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         for row in self.entries:
@@ -213,21 +221,6 @@ class LaurentMatrix:
                 row.append(acc)
             out.append(row)
         return LaurentMatrix(out)
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return LaurentMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self.entries == other.entries
 
     def __repr__(self) -> str:
         body = "; ".join(

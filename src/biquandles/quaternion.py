@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .laurent import check_modulus_bound, eliminate_mod, is_prime
+from .laurent import check_modulus_bound, eliminate_mod, format_signed_sum, is_prime
 from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, switch_rules, ul, ur
 
 
@@ -65,20 +65,8 @@ class Quaternion:
         return bool(self.w or self.x or self.y or self.z)
 
     def render(self) -> str:
-        parts = []
-        for coeff, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
-            if not coeff:
-                continue
-            mag = abs(coeff)
-            body = unit if unit and mag == 1 else (f"{mag}{unit}" if unit else str(mag))
-            parts.append(("-" if coeff < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        units = ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k"))
+        return format_signed_sum([(coeff, unit) for coeff, unit in units if coeff], "")
 
     def __str__(self) -> str:
         return self.render()
@@ -126,15 +114,19 @@ def _check_modulus(p: int) -> None:
         raise DomainError(f"modulus must be prime, got {p}")
 
 
+@dataclass
 class QRelationSet:
     """Linear relations with quaternion coefficients, optionally mod a prime."""
 
-    def __init__(self, generators: list[str], rows: list[dict[str, Quaternion]], modulus: int | None = None):
-        self.generators = list(generators)
+    generators: list[str]
+    rows: list[dict[str, Quaternion]]
+    modulus: int | None = None
+
+    def __post_init__(self):
+        self.generators = list(self.generators)
         self.rows = [
-            {name: q for name, q in row.items() if q} for row in rows
+            {name: q for name, q in row.items() if q} for row in self.rows
         ]
-        self.modulus = modulus
 
     def reduce_mod(self, p: int) -> "QRelationSet":
         _check_modulus(p)
@@ -149,15 +141,6 @@ class QRelationSet:
             terms = [f"({row[name]})*{name}" for name in self.generators if name in row]
             lines.append(" + ".join(terms) + " = 0" if terms else "0 = 0")
         return "\n".join(lines)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QRelationSet):
-            return NotImplemented
-        return (
-            self.generators == other.generators
-            and self.rows == other.rows
-            and self.modulus == other.modulus
-        )
 
 
 def q_relations_from_presentation(p: BQPresentation) -> QRelationSet:

@@ -156,12 +156,17 @@ class BQRelation:
         return self.render()
 
 
+# repr=False: a generated repr would write each relation out as a tree.
+@dataclass(repr=False)
 class BQPresentation:
     """Finitely presented biquandle: generator names plus term relations."""
 
-    def __init__(self, generators: list[str], relations: list[BQRelation]):
-        self.generators = list(generators)
-        self.relations = list(relations)
+    generators: list[str]
+    relations: list[BQRelation]
+
+    def __post_init__(self):
+        self.generators = list(self.generators)
+        self.relations = list(self.relations)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         declared = set(self.generators)
@@ -187,11 +192,6 @@ class BQPresentation:
 
     def __str__(self) -> str:
         return self.render()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BQPresentation):
-            return NotImplemented
-        return self.generators == other.generators and self.relations == other.relations
 
 
 _IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")

@@ -10,6 +10,7 @@ from biquandles.quaternion import (
     J_Q,
     K_Q,
     ONE_Q,
+    ZERO_Q,
     QRelationSet,
     Quaternion,
     forced_zero_generators,
@@ -219,6 +220,16 @@ class TestRank:
             with pytest.raises(DomainError, match=f"modulus must be below 2\\^31, got {p}$"):
                 call(p)
             assert time.perf_counter() - start < 0.1
+
+
+class TestRelationSetEquality:
+    def test_zero_entries_are_dropped_before_comparing(self):
+        rset = QRelationSet(["a", "b"], [{"a": ONE_Q, "b": ZERO_Q}], 3)
+        assert rset == QRelationSet(["a", "b"], [{"a": ONE_Q}], 3)
+        assert rset != QRelationSet(["a", "b"], [{"a": ONE_Q}], None)
+        assert rset != QRelationSet(["b", "a"], [{"a": ONE_Q}], 3)
+        with pytest.raises(TypeError):
+            hash(rset)
 
 
 class TestScalarRestriction:

@@ -537,6 +537,15 @@ class TestPresentationsFromBraids:
             for pres in (presentation_from_braid(w), presentation_from_braid_down(w)):
                 assert pres.render_size() == len(pres.render()), str(w)
 
+    def test_equality_is_by_value(self):
+        pres = presentation_from_braid(parse_braid_word("n=3; s1 v2 -s1"))
+        fresh = parse_presentation(pres.render())
+        assert fresh.relations[0].lhs is not pres.relations[0].lhs
+        assert fresh == pres
+        assert BQPresentation(pres.generators[::-1], pres.relations) != pres
+        with pytest.raises(TypeError):
+            hash(pres)
+
     def test_generator_names_roll_over(self):
         assert generator_names(3) == ["a", "b", "c"]
         assert generator_names(27)[:2] == ["g1", "g2"]
