@@ -75,8 +75,9 @@ class BraidWord:
         return render_braid_word(self)
 
 
-_HEADER_RE = re.compile(r"^\s*n=(\d+)\s*;(.*)$", re.DOTALL)
-_LETTER_RE = re.compile(r"^(-?)([sv])(\d+)$")
+# Numbers are ASCII digits: ``\d`` would also match other scripts' digits.
+_HEADER_RE = re.compile(r"^\s*n=([0-9]+)\s*;(.*)$", re.DOTALL)
+_LETTER_RE = re.compile(r"^(-?)([sv])([0-9]+)$")
 
 
 def parse_braid_word(text: str) -> BraidWord:

@@ -10,8 +10,10 @@ diagnostics go to stderr; stdout carries only canonical serializations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import random
+import re
 import sys
 
 from .alexander import gap
@@ -119,12 +121,17 @@ def _cmd_gap(args) -> int:
     return 0
 
 
+# m,s,t for ``axioms --alexander``: ASCII digits, each with an optional minus.
+_ALEXANDER_PARAMS_RE = re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)")
+
+
 def _parse_alexander_params(text: str) -> tuple[int, int, int]:
-    try:
-        m, s, t = (int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError(f"expected m,s,t with three integers, got {text!r}") from None
-    return m, s, t
+    match = _ALEXANDER_PARAMS_RE.fullmatch(text)
+    if match is not None:
+        with contextlib.suppress(ValueError):  # int() refuses more than 4300 digits
+            m, s, t = map(int, match.groups())
+            return m, s, t
+    raise ParseError(f"expected m,s,t with three integers, got {text!r}")
 
 
 def _cmd_axioms(args) -> int:

@@ -99,6 +99,11 @@ class TestParseRender:
         with pytest.raises(ParseError):
             parse_braid_word("n=2; x1")
 
+    @pytest.mark.parametrize("text", ["n=٣; s1", "n=3; s١", "n=３; s1", "n=3; v２"])
+    def test_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_braid_word(text)
+
 
 class TestInversionAndReduction:
     @given(words())

@@ -80,6 +80,11 @@ class TestGap:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    def test_non_ascii_digits_exit_one(self, capsys):
+        code, out, err = invoke(capsys, "gap", "--braid", "n=٢; v١ s١")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_exits_one(self, capsys):
         code, out, err = invoke(capsys, "gap", "--presentation", "/no/such/file.bq")
         assert code == 1 and err.startswith("error: ")
@@ -166,6 +171,17 @@ class TestAxioms:
     def test_malformed_params_exit_one(self, capsys):
         code, out, err = invoke(capsys, "axioms", "--alexander", "5,2")
         assert code == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("params", ["٥,٢,٣", "5_0,2,3", "+5,2,3", "5, 2,3"])
+    def test_params_are_ascii_integers(self, capsys, params):
+        code, out, err = invoke(capsys, "axioms", "--alexander", params)
+        assert (code, out) == (1, "")
+        assert err == f"error: expected m,s,t with three integers, got {params!r}\n"
+
+    def test_negative_param_is_read(self, capsys):
+        code, out, err = invoke(capsys, "axioms", "--alexander", "5,-2,3")
+        assert (code, err) == (0, "")
+        assert out.count(": pass\n") == 9
 
     def test_non_unit_parameter_exits_two(self, capsys):
         code, out, err = invoke(capsys, "axioms", "--alexander", "4,2,1")
