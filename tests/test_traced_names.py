@@ -19,3 +19,37 @@ def test_every_traced_name_exists():
     assert traced.TRACED
     for owner, attr, span, _ in traced.TRACED:
         assert hasattr(owner, attr), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_traced_run_matches_cli_and_records_counts(tmp_path, capsys):
+    """The hooks read fields of the layers' results (matrix shape, relation
+    rows, table size, axiom checks); one small item per traced path runs
+    them and compares the traced run with plain ``cli.main``."""
+    from biquandles import cli
+    from biquandles.finite import finite_alexander_biquandle
+
+    traced = load_traced()
+    word = "n=3; s1 v2 -s1 v1"
+    assert cli.main(["present", "--braid", word]) == 0
+    presentation = tmp_path / "word.bq"
+    presentation.write_text(capsys.readouterr().out)
+    tables = tmp_path / "alexander.tables"
+    tables.write_text(finite_alexander_biquandle(5, 2, 3).render_tables())
+    commands = [
+        ["gap", "--braid", word],
+        ["present", "--braid", word],
+        ["gap", "--presentation", str(presentation)],
+        ["qcheck", "--presentation", str(presentation), "--prime", "3"],
+        ["axioms", "--tables", str(tables)],
+        ["axioms", "--quaternionic", "3"],
+    ]
+    rec = traced.Recorder()
+    for item, argv in enumerate(commands):
+        code = cli.main(argv)
+        untraced = (code, capsys.readouterr().out)
+        rec.begin_item(item)
+        assert rec.main(argv) == untraced, argv
+        rec.end_item(0.0)
+    assert not rec.errors
+    for name in ("alexander.matrix_cells", "quaternion.rank_rows", "finite.cells", "terms.rendered_bytes"):
+        assert rec.counts[name] > 0, name
