@@ -4,6 +4,9 @@ name it wraps must still exist, so a rename fails here and not only there."""
 import importlib.util
 from pathlib import Path
 
+from biquandles import cli
+from biquandles.finite import finite_alexander_biquandle
+
 TRACED_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
 
@@ -25,9 +28,6 @@ def test_traced_run_matches_cli_and_records_counts(tmp_path, capsys):
     """The hooks read fields of the layers' results (matrix shape, relation
     rows, table size, axiom checks); one small item per traced path runs
     them and compares the traced run with plain ``cli.main``."""
-    from biquandles import cli
-    from biquandles.finite import finite_alexander_biquandle
-
     traced = load_traced()
     word = "n=3; s1 v2 -s1 v1"
     assert cli.main(["present", "--braid", word]) == 0
