@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import random
 import re
 import sys
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="check the biquandle axioms of a finite table")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--alexander", metavar="M,S,T", help="linear tables on Z_M with parameters S, T")
-    src.add_argument("--quaternionic", metavar="P", type=int, help="quaternion tables over Z_P, P an odd prime")
+    src.add_argument("--quaternionic", metavar="P", type=_ascii_int, help="quaternion tables over Z_P, P an odd prime")
     src.add_argument("--tables", metavar="FILE", help="table file")
     p.add_argument("--force", action="store_true", help="allow carriers larger than 100 elements")
 
@@ -85,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--presentation", metavar="FILE", help="presentation file")
     src.add_argument("--kishino", action="store_true", help="run the built-in composite test knot certificate")
-    p.add_argument("--prime", metavar="P", type=int, default=3, help="prime modulus below 2^31 (default 3)")
+    p.add_argument("--prime", metavar="P", type=_ascii_int, default=3, help="prime modulus below 2^31 (default 3)")
 
     p = sub.add_parser("invariance", help="random moves must not change the polynomial")
     p.add_argument("--braid", required=True, metavar="W", help="starting braid word")
-    p.add_argument("--trials", required=True, metavar="N", type=int, help="number of random moves")
-    p.add_argument("--seed", required=True, metavar="S", type=int, help="random seed")
+    p.add_argument("--trials", required=True, metavar="N", type=_ascii_int, help="number of random moves")
+    p.add_argument("--seed", required=True, metavar="S", type=_ascii_int, help="random seed")
 
     p = sub.add_parser("convert", help="transform a braid word")
     p.add_argument("--braid", required=True, metavar="W", help="braid word")
@@ -121,15 +122,22 @@ def _cmd_gap(args) -> int:
     return 0
 
 
-# m,s,t for ``axioms --alexander``: ASCII digits, each with an optional minus.
-_ALEXANDER_PARAMS_RE = re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)")
+# An integer flag or ``axioms --alexander`` field: ASCII digits with an optional minus.
+_ASCII_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    if _ASCII_INT_RE.fullmatch(text):
+        with contextlib.suppress(ValueError):  # int() refuses more than 4300 digits
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_alexander_params(text: str) -> tuple[int, int, int]:
-    match = _ALEXANDER_PARAMS_RE.fullmatch(text)
-    if match is not None:
-        with contextlib.suppress(ValueError):  # int() refuses more than 4300 digits
-            m, s, t = map(int, match.groups())
+    fields = text.split(",")
+    if len(fields) == 3:
+        with contextlib.suppress(argparse.ArgumentTypeError):
+            m, s, t = map(_ascii_int, fields)
             return m, s, t
     raise ParseError(f"expected m,s,t with three integers, got {text!r}")
 
@@ -203,10 +211,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (ParseError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, ParseError) else 2
+    except BrokenPipeError as e:
+        print(f"error: cannot write output: {e.strerror or e}", file=sys.stderr)
+        sys.stdout = open(os.devnull, "w")  # the exit flush of the closed stream stays quiet
+        return 1
 
 
 def run(args: list[str]) -> int:

@@ -5,10 +5,11 @@ Presentations linearize over the quaternions with the rules that
 crossing and S' = [[1-j, -i], [i, 1-j]] at a negative one, giving one
 quaternionic linear relation per presentation relation. S·S' is not the
 identity, so the pair is not a switch, and S fails the Yang–Baxter equation:
-a closure-preserving move can change the ``qcheck`` dimension. Reducing the
-coefficients mod a prime p and restricting scalars to Z_p turns the system
-into a plain matrix over Z_p whose rank decides whether the module is
-trivial. A nontrivial module certifies the knot is not classical-trivial.
+a closure-preserving move can change the ``qcheck`` dimension. Restricting
+scalars to Z turns the system into a plain integer matrix, and its rank mod
+a prime p decides whether the module is trivial; ``fp_rank`` is the one
+place that checks p, reduces the entries and ranks them. A nontrivial
+module certifies the knot is not classical-trivial.
 """
 
 from __future__ import annotations
@@ -116,11 +117,10 @@ def _check_modulus(p: int) -> None:
 
 @dataclass
 class QRelationSet:
-    """Linear relations with quaternion coefficients, optionally mod a prime."""
+    """Linear relations with quaternion coefficients."""
 
     generators: list[str]
     rows: list[dict[str, Quaternion]]
-    modulus: int | None = None
 
     def __post_init__(self):
         self.generators = list(self.generators)
@@ -133,7 +133,7 @@ class QRelationSet:
         rows = [
             {name: q.reduce(p) for name, q in row.items()} for row in self.rows
         ]
-        return QRelationSet(self.generators, rows, modulus=p)
+        return QRelationSet(self.generators, rows)
 
     def render(self) -> str:
         lines = []
@@ -154,18 +154,13 @@ def q_relations_from_presentation(p: BQPresentation) -> QRelationSet:
 MAX_RESTRICTED_CELLS = 1 << 20
 
 
-def scalar_restriction(rset: QRelationSet, p: int | None = None) -> list[list[int]]:
-    """Expand quaternion relations to a plain integer matrix mod p.
+def scalar_restriction(rset: QRelationSet) -> list[list[int]]:
+    """Expand quaternion relations to a plain integer matrix.
 
     Each generator contributes four columns (its 1, i, j, k components) and
     each relation four rows; a coefficient q becomes the 4x4 matrix of left
     multiplication by q.
     """
-    if p is None:
-        p = rset.modulus
-    if p is None:
-        raise ValueError("scalar restriction needs a modulus")
-    _check_modulus(p)
     rows, cols = 4 * len(rset.rows), 4 * len(rset.generators)
     if rows * cols > MAX_RESTRICTED_CELLS:
         raise DomainError(
@@ -177,7 +172,7 @@ def scalar_restriction(rset: QRelationSet, p: int | None = None) -> list[list[in
         block_rows = [[0] * cols for _ in range(4)]
         for name, q in row.items():
             for block_row, lm_row in zip(block_rows, left_matrix(q)):
-                block_row[index[name] : index[name] + 4] = [value % p for value in lm_row]
+                block_row[index[name] : index[name] + 4] = lm_row
         out.extend(block_rows)
     return out
 
@@ -185,12 +180,8 @@ def scalar_restriction(rset: QRelationSet, p: int | None = None) -> list[list[in
 def fp_rank(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over the field with p elements."""
     _check_modulus(p)
-    return _residue_rank([[value % p for value in row] for row in rows], p)
-
-
-def _residue_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of a matrix of residues mod p: the elimination on a batch of one."""
-    work = np.array(rows, dtype=np.int64, ndmin=2)[None, :, :, None]
+    residues = [[value % p for value in row] for row in rows]
+    work = np.array(residues, dtype=np.int64, ndmin=2)[None, :, :, None]
     return eliminate_mod(work, np.array([p], dtype=np.int64))[2]
 
 
@@ -219,18 +210,15 @@ def module_is_trivial(x, prime: int) -> tuple[bool, RankReport]:
         rset = x
     else:
         raise TypeError(f"expected a presentation or relation set, got {type(x).__name__}")
-    rank = _residue_rank(scalar_restriction(rset, prime), prime)
+    rank = fp_rank(scalar_restriction(rset), prime)
     total = 4 * len(rset.generators)
     report = RankReport(rank=rank, total=total, dim=total - rank, trivial=(rank == total))
     return report.trivial, report
 
 
-def forced_zero_generators(rset: QRelationSet) -> list[str]:
+def forced_zero_generators(rset: QRelationSet, p: int) -> list[str]:
     """Generators pinned to zero by a single-generator relation with a unit
-    coefficient (norm invertible mod the modulus)."""
-    if rset.modulus is None:
-        raise ValueError("forced-zero detection needs a reduced relation set")
-    p = rset.modulus
+    coefficient (norm invertible mod p)."""
     forced = []
     for row in rset.rows:
         if len(row) != 1:
@@ -313,6 +301,6 @@ def kishino_certificate(prime: int = 3) -> KishinoCertificate:
         linearized_relations=generic,
         rules_match_reference=matches,
         reduced_relations=reduced,
-        forced_zero=forced_zero_generators(reduced),
+        forced_zero=forced_zero_generators(reduced, prime),
         report=report,
     )

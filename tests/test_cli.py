@@ -249,6 +249,27 @@ class TestQcheck:
         assert err == "error: modulus must be below 2^31, got 2305843009213693951\n"
 
 
+    def test_negative_prime_exits_two(self, capsys):
+        assert invoke(capsys, "qcheck", "--kishino", "--prime", "-3") == (2, "", "error: modulus must be prime, got -3\n")
+
+
+# Each integer flag in a command line that is otherwise well formed.
+_INT_FLAG_ARGV = {
+    "--quaternionic": lambda v: ["axioms", "--quaternionic", v],
+    "--prime": lambda v: ["qcheck", "--kishino", "--prime", v],
+    "--trials": lambda v: ["invariance", "--braid", "n=2; s1", "--trials", v, "--seed", "1"],
+    "--seed": lambda v: ["invariance", "--braid", "n=2; s1", "--trials", "1", "--seed", v],
+}
+
+
+@pytest.mark.parametrize("value", ["\u0663", "0_3", "+3", " 3"])
+@pytest.mark.parametrize("flag", list(_INT_FLAG_ARGV))
+def test_integer_flags_read_ascii_digits(capsys, flag, value):
+    code, out, err = invoke(capsys, *_INT_FLAG_ARGV[flag](value))
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["gap", "--presentation"], ["qcheck", "--presentation"], ["axioms", "--tables"]]
 )
@@ -409,6 +430,22 @@ class TestTopLevel:
         assert proc.stderr.startswith("error: ")
 
 
+    @pytest.mark.parametrize("argv", [["gap", "--braid", "n=2; v1 s1"], ["axioms", "--alexander", "1,1,1"]])
+    def test_closed_stdout_gives_one_error_line(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biquandles", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_CHILD_ENV,
+        )
+        proc.stdout.close()  # before the child has written anything
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestStrandCountRefusals:
     """The strand count alone decides these refusals, before any term is
     built: n = 200000 took 2.9 s and 181 MB to reach the matrix cap."""
@@ -480,6 +517,14 @@ class TestQcheckCap:
         assert invoke(capsys, "qcheck", "--presentation", str(path)) == (0, "nontrivial (rank 2 of 4, dim 2)\n", "")
         path.write_text("gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n")
         code, out, err = invoke(capsys, "qcheck", "--presentation", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: restricted matrix would have 8x8 = 64 cells, above the limit of 2^20\n"
+
+    def test_cap_is_checked_before_the_prime(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(quaternion, "MAX_RESTRICTED_CELLS", 16)
+        path = tmp_path / "two.bq"
+        path.write_text("gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n")
+        code, out, err = invoke(capsys, "qcheck", "--presentation", str(path), "--prime", "4")
         assert (code, out) == (2, "")
         assert err == "error: restricted matrix would have 8x8 = 64 cells, above the limit of 2^20\n"
 

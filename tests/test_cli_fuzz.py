@@ -21,7 +21,9 @@ from biquandles.terms import presentation_from_braid
 LONG = "9" * 5000
 HUGE = [2**31 - 1, 2**31, 2**63, 10**40, -(10**40)]
 INTS = st.one_of(st.integers(-3, 5), st.sampled_from(HUGE))
-INT_TEXTS = st.one_of(INTS.map(str), st.sampled_from([LONG, "-" + LONG, "\u0662", "\u00b2"]))
+# Texts that Python's int() reads but the integer flags refuse.
+NON_ASCII_INTS = ["\u0663", "0_3", "+3", " 3"]
+INT_TEXTS = st.one_of(INTS.map(str), st.sampled_from([LONG, "-" + LONG, "\u0662", "\u00b2", *NON_ASCII_INTS]))
 
 # Words within n <= 6 and L <= 10, valid, truncated, or assembled from
 # plausible and broken tokens.
@@ -107,9 +109,13 @@ FLAG_VALUES = {
         st.builds(lambda m, s, t: f"{m},{s},{t}", st.integers(-2, 5) | st.sampled_from(HUGE), INTS, INTS),
         st.sampled_from(["5,2,3", "3,1,1", "4,1,3", "5,2", "5,2,3,4", "a,b,c", "", "5,,3", "1e3,2,3", f"{LONG},1,1"]),
     ),
-    "--quaternionic": st.sampled_from(["-7", "-1", "0", "1", "2", "4", "9", "x", "3.0", LONG] + [str(v) for v in HUGE]),
+    "--quaternionic": st.sampled_from(
+        ["-7", "-1", "0", "1", "2", "4", "9", "x", "3.0", LONG, *NON_ASCII_INTS] + [str(v) for v in HUGE]
+    ),
     "--prime": st.one_of(INT_TEXTS, st.sampled_from(["7", "9", str(2**31 - 19), "p", ""])),
-    "--trials": st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["-99999999999999999999", "1.5", "x", LONG])),
+    "--trials": st.one_of(
+        st.integers(-3, 3).map(str), st.sampled_from(["-99999999999999999999", "1.5", "x", LONG, *NON_ASCII_INTS])
+    ),
     "--seed": st.one_of(INT_TEXTS, st.sampled_from(["s", ""])),
     "--op": st.sampled_from(["invert", "mirror", "ad", "reduce", "reverse", ""]),
 }

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from biquandles import quaternion
+from biquandles.braids import random_braid
 from biquandles.errors import DomainError
 from biquandles.quaternion import (
     I_Q,
@@ -23,7 +26,7 @@ from biquandles.quaternion import (
     q_relations_from_presentation,
     scalar_restriction,
 )
-from biquandles.terms import lr, parse_presentation, ul, ur
+from biquandles.terms import lr, parse_presentation, presentation_from_braid, ul, ur
 
 
 def random_quaternion(rng):
@@ -174,7 +177,7 @@ class TestLinearization:
         assert rset.rows == [{"a": Quaternion(-1, 2, 1, 0)}]
         reduced = rset.reduce_mod(3)
         assert reduced.rows == [{"a": Quaternion(2, 2, 1, 0)}]
-        assert reduced.modulus == 3
+        assert [field.name for field in dataclasses.fields(reduced)] == ["generators", "rows"]
 
     def test_reduction_requires_prime(self):
         pres = parse_presentation("gens a\nrel ur(a,a) = a\n")
@@ -224,28 +227,26 @@ class TestRank:
 
 class TestRelationSetEquality:
     def test_zero_entries_are_dropped_before_comparing(self):
-        rset = QRelationSet(["a", "b"], [{"a": ONE_Q, "b": ZERO_Q}], 3)
-        assert rset == QRelationSet(["a", "b"], [{"a": ONE_Q}], 3)
-        assert rset != QRelationSet(["a", "b"], [{"a": ONE_Q}], None)
-        assert rset != QRelationSet(["b", "a"], [{"a": ONE_Q}], 3)
+        rset = QRelationSet(["a", "b"], [{"a": ONE_Q, "b": ZERO_Q}])
+        assert rset == QRelationSet(["a", "b"], [{"a": ONE_Q}])
+        assert rset != QRelationSet(["b", "a"], [{"a": ONE_Q}])
         with pytest.raises(TypeError):
             hash(rset)
 
 
 class TestScalarRestriction:
     def test_identity_coefficient_gives_identity_block(self):
-        rset = QRelationSet(["a"], [{"a": ONE_Q}], modulus=3)
+        rset = QRelationSet(["a"], [{"a": ONE_Q}])
         assert scalar_restriction(rset) == left_matrix(ONE_Q)
 
     def test_shape(self):
-        rset = QRelationSet(["a", "b"], [{"a": I_Q}, {"b": J_Q}], modulus=5)
+        rset = QRelationSet(["a", "b"], [{"a": I_Q}, {"b": J_Q}])
         rows = scalar_restriction(rset)
         assert len(rows) == 8 and all(len(r) == 8 for r in rows)
 
-    def test_needs_modulus(self):
-        rset = QRelationSet(["a"], [{"a": ONE_Q}])
-        with pytest.raises(ValueError):
-            scalar_restriction(rset)
+    def test_restriction_is_over_the_integers(self):
+        q = Quaternion(5, 7)
+        assert scalar_restriction(QRelationSet(["a"], [{"a": q}])) == left_matrix(q)
 
 
 class TestTriviality:
@@ -280,7 +281,39 @@ class TestTriviality:
             ["a", "b"],
             [{"a": Quaternion(0, 2)}, {"b": Quaternion(1, 1, 0, 1)}],
         ).reduce_mod(3)
-        assert forced_zero_generators(rset) == ["a"]
+        assert forced_zero_generators(rset, 3) == ["a"]
+
+
+class TestOneRankPath:
+    @pytest.fixture
+    def prime_tests(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(quaternion, "is_prime", counting_is_prime)
+        return calls
+
+    def test_prime_is_tested_once_per_check(self, prime_tests):
+        module_is_trivial(parse_presentation("gens a\nrel ur(a,a) = a\n"), 3)
+        assert prime_tests == [3]
+
+    def test_prime_is_tested_twice_per_certificate(self, prime_tests):
+        kishino_certificate(prime=5)
+        assert prime_tests == [5, 5]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_verdicts_match_the_reduced_restriction(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            word = random_braid(rng.randint(1, 4), rng.randint(0, 8), rng.randrange(10**6))
+            rset = q_relations_from_presentation(parse_presentation(presentation_from_braid(word).render()))
+            rank = reference_rank(scalar_restriction(rset.reduce_mod(p)), p)
+            total = 4 * len(rset.generators)
+            trivial, report = module_is_trivial(rset, p)
+            assert (report.rank, report.total, trivial) == (rank, total, rank == total)
 
 
 class TestKishinoCertificate:
