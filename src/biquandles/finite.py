@@ -1,7 +1,7 @@
 """Finite biquandles as operation tables, with a full axiom checker.
 
 A finite biquandle on m elements is four m x m tables, one per operation,
-with entries in 0..m-1. The checker verifies every defining axiom by numpy
+held as one (4, m, m) array with entries in 0..m-1. The checker verifies every defining axiom by numpy
 broadcasting; existential axioms are checked by searching the whole carrier.
 
 Table file grammar (``#`` starts a comment):
@@ -47,29 +47,16 @@ class FiniteBiquandle:
         missing = [op for op in OPS if op not in tables]
         if missing:
             raise ValueError(f"missing operation tables: {', '.join(missing)}")
-        converted = {}
-        size = None
-        for op in OPS:
-            arr = np.asarray(tables[op], dtype=np.int64)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"{op} table must be square, got shape {arr.shape}")
-            if size is None:
-                size = arr.shape[0]
-            elif arr.shape[0] != size:
-                raise ValueError(f"{op} table size {arr.shape[0]} does not match {size}")
-            if size == 0:
-                raise ValueError("carrier must be nonempty")
-            if arr.min() < 0 or arr.max() >= size:
-                raise ValueError(f"{op} table entries must lie in 0..{size - 1}")
-            converted[op] = arr
-        self.tables = converted
-        self.size = size
-        if labels is not None:
-            if len(labels) != size:
-                raise ValueError(f"expected {size} labels, got {len(labels)}")
-            self.labels = list(labels)
-        else:
-            self.labels = [str(i) for i in range(size)]
+        stack = np.asarray([tables[op] for op in OPS], dtype=np.int64)  # tables of unequal sizes raise here
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+            raise ValueError(f"tables must be square and nonempty, got shape {stack.shape[1:]}")
+        self.size = size = stack.shape[1]
+        if stack.min() < 0 or stack.max() >= size:
+            raise ValueError(f"table entries must lie in 0..{size - 1}")
+        self.tables = dict(zip(OPS, stack))
+        self.labels = [str(i) for i in range(size)] if labels is None else list(labels)
+        if len(self.labels) != size:
+            raise ValueError(f"expected {size} labels, got {len(self.labels)}")
 
     def apply(self, op: str, a: int, b: int) -> int:
         if op not in OPS:
