@@ -115,7 +115,7 @@ def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
 
 
 def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
-    """Closure relations in matrix form: the upward word action minus identity."""
+    """Closure relations in matrix form: ``presentation_from_braid(w)`` linearized, lhs - rhs per row."""
     _check_matrix_cells(w.strands, w.strands)
     p = presentation_from_braid(w)
     return _linear_rows(p.generators, [[(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations])

@@ -1,8 +1,8 @@
 """Finite biquandles as operation tables, with a full axiom checker.
 
-A finite biquandle on m elements is four m x m tables, one per operation,
-held as one (4, m, m) array with entries in 0..m-1. The checker verifies every defining axiom by numpy
-broadcasting; existential axioms are checked by searching the whole carrier.
+A finite biquandle on m elements is one (4, m, m) array, an m x m table per
+operation with entries in 0..m-1. The checker verifies every axiom by numpy
+broadcasting; existential axioms search the whole carrier.
 
 Table file grammar (``#`` starts a comment):
 
@@ -38,6 +38,8 @@ _CHUNK_BUDGET = 1_000_000
 
 # Carriers above this need force=True; the cubes grow with the third power.
 MAX_CHECK_SIZE = 100
+# The table builders refuse tables above this many cells (4096 elements), also under force.
+MAX_TABLE_CELLS = 1 << 24
 
 
 class FiniteBiquandle:
@@ -131,9 +133,15 @@ def _check(B: FiniteBiquandle, name: str, arity: int, equations, exists: bool = 
 def check_carrier_size(size: int, force: bool = False) -> None:
     """Refuse a carrier of more than MAX_CHECK_SIZE elements unless force is
     set: the checks quantify over triples, and the linear table builders
-    allocate about 2*d*size^2 int64 values."""
+    allocate about 2*d*size^2 int64 values. Under force the builders still
+    refuse tables of more than MAX_TABLE_CELLS cells (see _check_table_cells)."""
     if size > MAX_CHECK_SIZE and not force:
         raise DomainError(f"carrier size {size} exceeds {MAX_CHECK_SIZE}; enable force to check anyway")
+
+
+def _check_table_cells(size: int) -> None:
+    if size * size > MAX_TABLE_CELLS:
+        raise DomainError(f"carrier size {size} exceeds the table limit of {math.isqrt(MAX_TABLE_CELLS)} elements")
 
 
 def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
@@ -200,6 +208,7 @@ def finite_alexander_biquandle(m: int, s: int, t: int) -> FiniteBiquandle:
         raise DomainError(f"s={s} is not a unit mod {m}")
     if math.gcd(t, m) != 1:
         raise DomainError(f"t={t} is not a unit mod {m}")
+    _check_table_cells(m)
     maps = {
         op: tuple([[c.evaluate_mod(s, t, m)]] for c in pair)
         for op, pair in ALEXANDER_COEFFS.items()
@@ -212,6 +221,7 @@ def finite_quaternionic_biquandle(p: int) -> FiniteBiquandle:
     check_modulus_bound(p)
     if not is_prime(p) or p == 2:
         raise DomainError(f"modulus must be an odd prime, got {p}")
+    _check_table_cells(p**4)
     maps = {op: tuple(left_matrix(q) for q in pair) for op, pair in QUATERNION_COEFFS.items()}
     labels = [Quaternion(*c).render().replace(" ", "") for c in product(range(p), repeat=4)]
     return _linear_biquandle(p, maps, labels)

@@ -291,3 +291,32 @@ class TestAvailableMoves:
         assert "ad_inversion" not in labels
         labels = [label for label, _ in available_moves(w, include_mirrors=True)]
         assert "ad_inversion" in labels and "vertical_mirror" in labels
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BraidWord(0), "strand count must be >= 1, got 0"),
+        (lambda: BraidWord(2, (sigma(2),)), "letter s2 needs 3 strands, word has 2"),
+        (lambda: BraidWord(3, (sigma(1), nu(3))), "letter v3 needs 4 strands, word has 3"),
+        (
+            lambda: apply_relator_move(parse_braid_word("n=3; s1 s2"), "braid", 0),
+            "no braid relator window at position 0",
+        ),
+        (
+            lambda: apply_relator_move(parse_braid_word("n=4; s1 s3"), "commute", 1),
+            "no commute relator window at position 1",
+        ),
+        (
+            lambda: markov_move(parse_braid_word("n=2; s1"), "stabilize", sign=2),
+            "stabilization sign must be +1 or -1, got 2",
+        ),
+        (lambda: random_braid(0, 5, 1), "strand count must be >= 1, got 0"),
+    ],
+    ids=["no-strands", "letter-beyond-strands", "virtual-beyond-strands", "window-past-end",
+         "commute-window-past-end", "stabilize-sign", "random-no-strands"],
+)
+def test_refusal_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -225,6 +225,17 @@ class TestAxioms:
         with pytest.raises(Built):
             main(["axioms", *argv, "--force"])
 
+    @pytest.mark.parametrize(
+        "argv, size",
+        [(["--alexander", "1000003,2,3"], 1000003), (["--quaternionic", "2147483647"], 2147483647**4)],
+    )
+    def test_table_cap_holds_under_force(self, capsys, argv, size):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "axioms", *argv, "--force")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: carrier size {size} exceeds the table limit of 4096 elements\n"
+
 
 class TestQcheck:
     def test_kishino_golden(self, capsys):
@@ -429,6 +440,24 @@ class TestTopLevel:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
 
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gap", "--braid", "n=2; s9"], 1),
+            (["gap", "--braid", "s1"], 1),
+            (["axioms", "--alexander", "1000003,2,3", "--force"], 2),
+        ],
+    )
+    def test_module_entry_point_refusal_is_one_error_line(self, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "biquandles", *argv],
+            capture_output=True,
+            text=True,
+            env=_CHILD_ENV,
+        )
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["gap", "--braid", "n=2; v1 s1"], ["axioms", "--alexander", "1,1,1"]])
     def test_closed_stdout_gives_one_error_line(self, argv):

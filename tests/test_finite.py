@@ -12,6 +12,7 @@ from biquandles.finite import (
     finite_quaternionic_biquandle,
     parse_table_file,
 )
+from biquandles.terms import OPS
 
 
 def one_element():
@@ -43,6 +44,29 @@ class TestConstruction:
     def test_label_count_checked(self):
         with pytest.raises(ValueError):
             FiniteBiquandle({op: [[0]] for op in ("ur", "lr", "ul", "ll")}, labels=["x", "y"])
+
+    @pytest.mark.parametrize(
+        "tables, labels, message",
+        [
+            ({"ur": [[0]], "lr": [[0]]}, None, "missing operation tables: ul, ll"),
+            ({op: np.zeros((0, 0)) for op in OPS}, None, "tables must be square and nonempty, got shape (0, 0)"),
+            ({op: [] for op in OPS}, None, "tables must be square and nonempty, got shape (0,)"),
+            ({op: [[0, 1]] for op in OPS}, None, "tables must be square and nonempty, got shape (1, 2)"),
+            ({op: [[0, 1], [1, -1]] for op in OPS}, None, "table entries must lie in 0..1"),
+            ({op: [[0]] for op in OPS}, ["x", "y"], "expected 1 labels, got 2"),
+        ],
+        ids=["missing", "empty", "no-rows", "non-square", "negative-entry", "label-count"],
+    )
+    def test_refusal_messages(self, tables, labels, message):
+        with pytest.raises(ValueError) as err:
+            FiniteBiquandle(tables, labels)
+        assert str(err.value) == message
+
+    def test_tables_are_views_of_one_array(self):
+        b = finite_alexander_biquandle(5, 2, 3)
+        stack = b.tables["ur"].base
+        assert stack.shape == (4, 5, 5)
+        assert all(b.tables[op].base is stack for op in OPS)
 
     def test_apply_and_label(self):
         b = finite_alexander_biquandle(5, 2, 3)
@@ -255,8 +279,13 @@ class TestTableFiles:
             (f"size 1\nur\n{'0' * 5000}\n", f"non-integer entry in ur table row '{'0' * 5000}'"),
             ("size 1\nur\n٠\nlr\n0\nul\n0\nll\n0\n", "non-integer entry in ur table row '٠'"),
             ("size １\nur\n0\nlr\n0\nul\n0\nll\n0\n", "bad size line 'size １'"),
+            ("size 0\n", "carrier size must be >= 1, got 0"),
+            ("size 2\nur\n0 1\n1 0\nlr\n0 1\n", "lr table is missing rows (need 2)"),
         ],
-        ids=["keyword-prefix", "underscore", "sign", "over-long", "non-ascii-digit", "non-ascii-size"],
+        ids=[
+            "keyword-prefix", "underscore", "sign", "over-long", "non-ascii-digit", "non-ascii-size",
+            "size-zero", "missing-rows",
+        ],
     )
     def test_exact_keyword_and_unsigned_decimal_entries(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -270,3 +299,42 @@ class TestTableFiles:
     def test_missing_block_rejected(self):
         with pytest.raises(ParseError):
             parse_table_file("size 1\nur\n0\nlr\n0\nul\n0\n")
+
+
+class TestTableCap:
+    """The builders refuse tables above MAX_TABLE_CELLS cells, whatever force says."""
+
+    def test_alexander_carrier_at_the_cap_builds_and_one_above_is_refused(self, monkeypatch):
+        monkeypatch.setattr(finite, "MAX_TABLE_CELLS", 25)
+        assert finite_alexander_biquandle(5, 2, 3).size == 5
+        with pytest.raises(DomainError, match=r"^carrier size 6 exceeds the table limit of 5 elements$"):
+            finite_alexander_biquandle(6, 1, 1)
+
+    def test_quaternionic_carrier_at_the_cap_builds_and_one_above_is_refused(self, monkeypatch):
+        monkeypatch.setattr(finite, "MAX_TABLE_CELLS", 81 * 81)
+        assert finite_quaternionic_biquandle(3).size == 81
+        monkeypatch.setattr(finite, "MAX_TABLE_CELLS", 81 * 81 - 1)
+        with pytest.raises(DomainError, match=r"^carrier size 81 exceeds the table limit of 80 elements$"):
+            finite_quaternionic_biquandle(3)
+
+    def test_default_cap_is_4096_elements(self):
+        assert finite.MAX_TABLE_CELLS == 4096 * 4096
+        with pytest.raises(DomainError, match=r"^carrier size 4097 exceeds the table limit of 4096 elements$"):
+            finite_alexander_biquandle(4097, 1, 1)
+
+    def test_refused_before_labels_or_tables(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a table or label was built")
+
+        monkeypatch.setattr(finite, "_linear_biquandle", never)
+        monkeypatch.setattr(finite, "Quaternion", never)
+        with pytest.raises(DomainError, match=r"^carrier size 14641 exceeds"):
+            finite_quaternionic_biquandle(11)
+        with pytest.raises(DomainError, match=r"^carrier size 1000003 exceeds"):
+            finite_alexander_biquandle(1000003, 2, 3)
+
+    def test_parameters_are_checked_before_the_cap(self):
+        with pytest.raises(DomainError, match=r"^s=2 is not a unit mod 1000000$"):
+            finite_alexander_biquandle(1000000, 2, 3)
+        with pytest.raises(DomainError, match=r"^modulus must be an odd prime, got 1000001$"):
+            finite_quaternionic_biquandle(1000001)

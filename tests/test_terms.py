@@ -243,6 +243,11 @@ class TestPresentationText:
         with pytest.raises(ParseError):
             parse_presentation("gens a\nrelation a = a\n")
 
+    def test_presentation_refuses_duplicate_generator_names(self):
+        with pytest.raises(ValueError) as info:
+            BQPresentation(["a", "b", "a"], [])
+        assert str(info.value) == "duplicate generator names"
+
     def test_presentation_validates_generators(self):
         with pytest.raises(ValueError):
             BQPresentation(["a"], [BQRelation(ur("a", "b"), A)])
@@ -319,6 +324,10 @@ class TestInterningParser:
             ("gens a\nrel ur a = a\n", "line 2: undeclared generator 'ur'"),
             ("gensa b\n", "line 1: expected 'gens' or 'rel', got 'gensa b'"),
             ("gens a b\nrelur(a,b) = a\n", "line 2: expected 'gens' or 'rel', got 'relur(a,b) = a'"),
+            ("gens\n", "line 1: gens line lists no generators"),
+            ("# no names\ngens   # a comment\n", "line 2: gens line lists no generators"),
+            ("", "presentation has no gens line"),
+            ("# only a comment\n\n", "presentation has no gens line"),
         ],
     )
     def test_error_messages(self, text, message):
