@@ -440,7 +440,6 @@ class TestTopLevel:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
 
-
     @pytest.mark.parametrize(
         "argv, code",
         [

@@ -318,7 +318,6 @@ class TestTableCap:
             finite_quaternionic_biquandle(3)
 
     def test_default_cap_is_4096_elements(self):
-        assert finite.MAX_TABLE_CELLS == 4096 * 4096
         with pytest.raises(DomainError, match=r"^carrier size 4097 exceeds the table limit of 4096 elements$"):
             finite_alexander_biquandle(4097, 1, 1)
 
