@@ -23,7 +23,6 @@ from .braids import ad_inversion, invert_braid, vertical_mirror
 from .errors import DomainError, ParseError
 from .finite import (
     check_axioms,
-    check_carrier_size,
     finite_alexander_biquandle,
     finite_quaternionic_biquandle,
     parse_table_file,
@@ -144,11 +143,8 @@ def _parse_alexander_params(text: str) -> tuple[int, int, int]:
 
 def _cmd_axioms(args) -> int:
     if args.alexander is not None:
-        m, s, t = _parse_alexander_params(args.alexander)
-        check_carrier_size(m, args.force)
-        table = finite_alexander_biquandle(m, s, t)
+        table = finite_alexander_biquandle(*_parse_alexander_params(args.alexander))
     elif args.quaternionic is not None:
-        check_carrier_size(args.quaternionic**4, args.force)
         table = finite_quaternionic_biquandle(args.quaternionic)
     else:
         table = parse_table_file(_read_file(args.tables))

@@ -38,8 +38,9 @@ _CHUNK_BUDGET = 1_000_000
 
 # Carriers above this need force=True; the cubes grow with the third power.
 MAX_CHECK_SIZE = 100
-# The table builders refuse tables above this many cells (4096 elements), also under force.
-MAX_TABLE_CELLS = 1 << 24
+# No carrier above this is built, read or checked, also under force. 625 = 5^4
+# keeps the quaternionic carrier for p = 5.
+MAX_FORCED_SIZE = 625
 
 
 class FiniteBiquandle:
@@ -132,23 +133,21 @@ def _check(B: FiniteBiquandle, name: str, arity: int, equations, exists: bool = 
 
 def check_carrier_size(size: int, force: bool = False) -> None:
     """Refuse a carrier of more than MAX_CHECK_SIZE elements unless force is
-    set: the checks quantify over triples, and the linear table builders
-    allocate about 2*d*size^2 int64 values. Under force the builders still
-    refuse tables of more than MAX_TABLE_CELLS cells (see _check_table_cells)."""
+    set, and one of more than MAX_FORCED_SIZE elements always. Every sweep
+    is at most cubic in the carrier, so the element cap bounds time as well
+    as memory. The builders and the table reader call this with force=True
+    before any table exists; check_axioms calls it with the caller's force."""
+    if size > MAX_FORCED_SIZE:
+        raise DomainError(f"carrier size {size} exceeds the limit of {MAX_FORCED_SIZE} elements")
     if size > MAX_CHECK_SIZE and not force:
         raise DomainError(f"carrier size {size} exceeds {MAX_CHECK_SIZE}; enable force to check anyway")
-
-
-def _check_table_cells(size: int) -> None:
-    if size * size > MAX_TABLE_CELLS:
-        raise DomainError(f"carrier size {size} exceeds the table limit of {math.isqrt(MAX_TABLE_CELLS)} elements")
 
 
 def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
     """Verify every biquandle axiom on the tables; report per-axiom results.
 
-    Carriers larger than 100 elements are refused unless force is set, since
-    several axioms quantify over triples.
+    Carriers larger than MAX_CHECK_SIZE elements are refused unless force
+    is set, and larger than MAX_FORCED_SIZE always (see check_carrier_size).
     """
     check_carrier_size(B.size, force)
     ur, lr, ul, ll = (B.tables[op] for op in OPS)
@@ -208,7 +207,7 @@ def finite_alexander_biquandle(m: int, s: int, t: int) -> FiniteBiquandle:
         raise DomainError(f"s={s} is not a unit mod {m}")
     if math.gcd(t, m) != 1:
         raise DomainError(f"t={t} is not a unit mod {m}")
-    _check_table_cells(m)
+    check_carrier_size(m, force=True)
     maps = {
         op: tuple([[c.evaluate_mod(s, t, m)]] for c in pair)
         for op, pair in ALEXANDER_COEFFS.items()
@@ -221,7 +220,7 @@ def finite_quaternionic_biquandle(p: int) -> FiniteBiquandle:
     check_modulus_bound(p)
     if not is_prime(p) or p == 2:
         raise DomainError(f"modulus must be an odd prime, got {p}")
-    _check_table_cells(p**4)
+    check_carrier_size(p**4, force=True)
     maps = {op: tuple(left_matrix(q) for q in pair) for op, pair in QUATERNION_COEFFS.items()}
     labels = [Quaternion(*c).render().replace(" ", "") for c in product(range(p), repeat=4)]
     return _linear_biquandle(p, maps, labels)
@@ -241,6 +240,7 @@ def parse_table_file(text: str) -> FiniteBiquandle:
     m = read_decimal(parts[1], "carrier size")
     if m < 1:
         raise ParseError(f"carrier size must be >= 1, got {m}")
+    check_carrier_size(m, force=True)
     pos = 1
     tables = {}
     while pos < len(lines):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import biquandles
-from biquandles import alexander, cli, quaternion
+from biquandles import alexander, cli, finite, quaternion
 from biquandles.braids import BraidWord, random_braid, render_braid_word
 from biquandles.cli import main, run
 from biquandles.laurent import LaurentPoly
@@ -204,15 +204,21 @@ class TestAxioms:
     )
     def test_large_carrier_refused_before_building(self, capsys, monkeypatch, argv, size):
         def never(*args):
-            raise AssertionError("the table builder ran")
+            raise AssertionError("a table or label was built")
 
-        monkeypatch.setattr(cli, "finite_quaternionic_biquandle", never)
-        monkeypatch.setattr(cli, "finite_alexander_biquandle", never)
+        monkeypatch.setattr(finite, "_linear_biquandle", never)
+        monkeypatch.setattr(finite, "Quaternion", never)
+        code, out, err = invoke(capsys, "axioms", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: carrier size {size} exceeds the limit of 625 elements\n"
+
+    @pytest.mark.parametrize("argv, size", [(["--alexander", "101,1,1"], 101), (["--quaternionic", "5"], 625)])
+    def test_carrier_between_the_caps_needs_force(self, capsys, argv, size):
         code, out, err = invoke(capsys, "axioms", *argv)
         assert (code, out) == (2, "")
         assert err == f"error: carrier size {size} exceeds 100; enable force to check anyway\n"
 
-    @pytest.mark.parametrize("argv", [["--quaternionic", "11"], ["--alexander", "100000,1,1"]])
+    @pytest.mark.parametrize("argv", [["--quaternionic", "5"], ["--alexander", "625,1,1"]])
     def test_force_still_builds_large_carriers(self, monkeypatch, argv):
         class Built(Exception):
             pass
@@ -220,8 +226,7 @@ class TestAxioms:
         def builder(*args):
             raise Built
 
-        monkeypatch.setattr(cli, "finite_quaternionic_biquandle", builder)
-        monkeypatch.setattr(cli, "finite_alexander_biquandle", builder)
+        monkeypatch.setattr(finite, "_linear_biquandle", builder)
         with pytest.raises(Built):
             main(["axioms", *argv, "--force"])
 
@@ -234,7 +239,50 @@ class TestAxioms:
         code, out, err = invoke(capsys, "axioms", *argv, "--force")
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: carrier size {size} exceeds the table limit of 4096 elements\n"
+        assert err == f"error: carrier size {size} exceeds the limit of 625 elements\n"
+
+
+def _run_child(*argv):
+    """Run ``python -m biquandles`` on argv; return the process and its wall time."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "biquandles", *argv], capture_output=True, text=True, env=_CHILD_ENV, timeout=60
+    )
+    return proc, time.perf_counter() - start
+
+
+class TestForcedCapInAChild:
+    """Above 625 elements every carrier is refused in well under a second,
+    also under --force; below it a forced check runs to the end."""
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["--quaternionic", "7"], 2401),
+            (["--alexander", "1000003,2,3"], 1000003),
+            (["--quaternionic", "2147483647"], 2147483647**4),
+        ],
+    )
+    def test_forced_carrier_above_the_cap_exits_two_at_once(self, argv, size):
+        proc, seconds = _run_child("axioms", *argv, "--force")
+        assert seconds < 1
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: carrier size {size} exceeds the limit of 625 elements\n"
+
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["default", "force"])
+    def test_table_file_is_refused_at_its_size_line(self, tmp_path, force):
+        path = tmp_path / "big.tables"
+        path.write_text("size 626\n")
+        proc, seconds = _run_child("axioms", "--tables", str(path), *force)
+        assert seconds < 1
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: carrier size 626 exceeds the limit of 625 elements\n"
+
+    def test_forced_carrier_below_the_cap_is_checked(self):
+        proc, _ = _run_child("axioms", "--alexander", "101,2,3", "--force")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 9 and all(line.endswith(": pass") for line in lines)
 
 
 class TestQcheck:

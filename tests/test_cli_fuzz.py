@@ -3,7 +3,8 @@
 Every run exits 0, 1 or 2. A nonzero exit prints nothing on stdout and
 exactly one stderr line, starting ``error: ``; a success prints nothing on
 stderr. No run lets an exception out of ``main``. Inputs stay small (n <= 6,
-L <= 10, carriers <= 5, trials <= 3, no ``--force``) so every run is quick.
+L <= 10, trials <= 3, carriers <= 5 or far above the 625-element cap) so
+every run is quick, also under ``--force``.
 """
 
 import io
@@ -124,7 +125,9 @@ V = FLAG_VALUES
 SHAPES = {
     "present": [["--braid", V["--braid"]], ["--braid", V["--braid"], "--down"]],
     "gap": [["--braid", V["--braid"]], ["--presentation", V["--presentation"]]],
-    "axioms": [["--alexander", V["--alexander"]], ["--quaternionic", V["--quaternionic"]], ["--tables", V["--tables"]]],
+    "axioms": [
+        [flag, V[flag], *force] for flag in ("--alexander", "--quaternionic", "--tables") for force in ([], ["--force"])
+    ],
     "qcheck": [
         ["--presentation", V["--presentation"]],
         ["--presentation", V["--presentation"], "--prime", V["--prime"]],

@@ -302,24 +302,27 @@ class TestTableFiles:
 
 
 class TestTableCap:
-    """The builders refuse tables above MAX_TABLE_CELLS cells, whatever force says."""
+    """No carrier above MAX_FORCED_SIZE elements is built, read or checked, whatever force says."""
 
-    def test_alexander_carrier_at_the_cap_builds_and_one_above_is_refused(self, monkeypatch):
-        monkeypatch.setattr(finite, "MAX_TABLE_CELLS", 25)
-        assert finite_alexander_biquandle(5, 2, 3).size == 5
-        with pytest.raises(DomainError, match=r"^carrier size 6 exceeds the table limit of 5 elements$"):
-            finite_alexander_biquandle(6, 1, 1)
+    def test_alexander_carrier_at_the_cap_builds_and_one_above_is_refused(self):
+        assert finite_alexander_biquandle(625, 2, 3).size == 625
+        with pytest.raises(DomainError, match=r"^carrier size 626 exceeds the limit of 625 elements$"):
+            finite_alexander_biquandle(626, 1, 1)
 
     def test_quaternionic_carrier_at_the_cap_builds_and_one_above_is_refused(self, monkeypatch):
-        monkeypatch.setattr(finite, "MAX_TABLE_CELLS", 81 * 81)
-        assert finite_quaternionic_biquandle(3).size == 81
-        monkeypatch.setattr(finite, "MAX_TABLE_CELLS", 81 * 81 - 1)
-        with pytest.raises(DomainError, match=r"^carrier size 81 exceeds the table limit of 80 elements$"):
-            finite_quaternionic_biquandle(3)
+        assert finite_quaternionic_biquandle(5).size == 625
+        monkeypatch.setattr(finite, "MAX_FORCED_SIZE", 624)
+        with pytest.raises(DomainError, match=r"^carrier size 625 exceeds the limit of 624 elements$"):
+            finite_quaternionic_biquandle(5)
 
-    def test_default_cap_is_4096_elements(self):
-        with pytest.raises(DomainError, match=r"^carrier size 4097 exceeds the table limit of 4096 elements$"):
-            finite_alexander_biquandle(4097, 1, 1)
+    def test_default_cap_is_625_elements(self):
+        assert finite.MAX_FORCED_SIZE == 5**4
+        finite.check_carrier_size(625, force=True)
+        with pytest.raises(DomainError, match=r"^carrier size 625 exceeds 100; enable force to check anyway$"):
+            finite.check_carrier_size(625)
+        for force in (False, True):
+            with pytest.raises(DomainError, match=r"^carrier size 626 exceeds the limit of 625 elements$"):
+                finite.check_carrier_size(626, force)
 
     def test_refused_before_labels_or_tables(self, monkeypatch):
         def never(*args):
@@ -327,10 +330,23 @@ class TestTableCap:
 
         monkeypatch.setattr(finite, "_linear_biquandle", never)
         monkeypatch.setattr(finite, "Quaternion", never)
-        with pytest.raises(DomainError, match=r"^carrier size 14641 exceeds"):
-            finite_quaternionic_biquandle(11)
-        with pytest.raises(DomainError, match=r"^carrier size 1000003 exceeds"):
-            finite_alexander_biquandle(1000003, 2, 3)
+        for p, size in [(7, 2401), (11, 14641)]:
+            with pytest.raises(DomainError, match=rf"^carrier size {size} exceeds the limit of 625 elements$"):
+                finite_quaternionic_biquandle(p)
+        for m in (626, 1000003):
+            with pytest.raises(DomainError, match=rf"^carrier size {m} exceeds the limit of 625 elements$"):
+                finite_alexander_biquandle(m, 1, 1)
+
+    def test_table_file_refused_at_its_size_line(self):
+        with pytest.raises(DomainError, match=r"^carrier size 626 exceeds the limit of 625 elements$"):
+            parse_table_file("size 626\n")
+        with pytest.raises(ParseError, match=r"^ur table is missing rows \(need 625\)$"):
+            parse_table_file("size 625\nur\n")
+
+    def test_checker_refuses_above_the_cap_under_force(self):
+        big = FiniteBiquandle({op: np.zeros((626, 626), dtype=np.int64) for op in OPS})
+        with pytest.raises(DomainError, match=r"^carrier size 626 exceeds the limit of 625 elements$"):
+            check_axioms(big, force=True)
 
     def test_parameters_are_checked_before_the_cap(self):
         with pytest.raises(DomainError, match=r"^s=2 is not a unit mod 1000000$"):
