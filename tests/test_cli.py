@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import biquandles
 from biquandles import alexander, cli, finite, quaternion
 from biquandles.braids import BraidWord, random_braid, render_braid_word
 from biquandles.cli import main, run
-from biquandles.laurent import LaurentPoly
+from biquandles.laurent import ONE, S, LaurentPoly, format_poly
 from biquandles.terms import BQPresentation, presentation_from_braid, presentation_from_braid_down
 from biquandles.terms import presentation_size_floor
 
@@ -27,6 +28,13 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def diagonal_presentation(path, count):
+    """Write ``count`` generators, each with the relation ur(g,g) = g, to path."""
+    names = [f"g{i}" for i in range(1, count + 1)]
+    path.write_text("gens " + " ".join(names) + "\n" + "".join(f"rel ur({g},{g}) = {g}\n" for g in names))
+    return path
 
 
 class TestPresent:
@@ -115,15 +123,20 @@ class TestGap:
         if source == "braid":
             argv, size = ["--braid", "n=30000;"], 30000
         else:
-            names = [f"g{i}" for i in range(1, 5001)]
-            path = tmp_path / "wide.bq"
-            path.write_text("gens " + " ".join(names) + "\n" + "".join(f"rel ur({g},{g}) = {g}\n" for g in names))
-            argv, size = ["--presentation", str(path)], 5000
+            argv, size = ["--presentation", str(diagonal_presentation(tmp_path / "wide.bq", 5000))], 5000
         start = time.perf_counter()
         code, out, err = invoke(capsys, "gap", *argv)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == f"error: matrix would have {size}x{size} = {size * size} cells, above the limit of 2^24\n"
+
+    def test_diagonal_file_is_a_product_of_one_by_one_blocks(self, tmp_path):
+        """Each relation ur(g,g) = g involves its own generator only, so the
+        1000 x 1000 matrix is diagonal; evaluated whole it ran for minutes."""
+        proc, seconds = _run_child("gap", "--presentation", str(diagonal_presentation(tmp_path / "diagonal.bq", 1000)))
+        assert seconds < 20
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == format_poly(prod([ONE - S] * 1000, start=ONE)) + "\n"
 
     def test_matrix_of_exactly_the_limit_is_filled(self, capsys, monkeypatch):
         monkeypatch.setattr(alexander, "MAX_MATRIX_CELLS", 4)

@@ -368,3 +368,74 @@ class TestModularDeterminant:
         f = LaurentPoly({(0, k): -1 for k in range(4500)})
         m = LaurentMatrix([[f, ONE], [T, ONE]])
         assert determinant(m) == cofactor_determinant(m) == f - T
+
+
+def permuted(rows, rng):
+    """rows with their order and their columns' order shuffled."""
+    n = len(rows)
+    row_order, col_order = rng.sample(range(n), n), rng.sample(range(n), n)
+    return LaurentMatrix([[rows[i][j] for j in col_order] for i in row_order])
+
+
+def block_triangular(rng, sizes):
+    """Random dense diagonal blocks of the given sizes, a few random entries
+    below them and zeros above."""
+    n = sum(sizes)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    rows = [[ZERO] * n for _ in range(n)]
+    for start, size in zip(starts, sizes):
+        for i in range(start, n):
+            for j in range(start, start + size):
+                if i < start + size or rng.random() < 0.3:
+                    rows[i][j] = LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice((-3, -1, 1, 2))})
+    return rows
+
+
+class TestBlockSplit:
+    """``determinant`` splits a matrix into the diagonal blocks of its block
+    triangular form and multiplies their determinants."""
+
+    @pytest.fixture
+    def grid_sizes(self, monkeypatch):
+        sizes = []
+        grid = laurent._grid_determinants
+
+        def recording(dense, n, *args):
+            sizes.append(n)
+            return grid(dense, n, *args)
+
+        monkeypatch.setattr(laurent, "_grid_determinants", recording)
+        return sizes
+
+    def test_hidden_blocks_match_both_oracles(self, grid_sizes):
+        rng = random.Random(17)
+        for trial in range(40):
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+            m = permuted(block_triangular(rng, sizes), rng)
+            grid_sizes.clear()
+            assert determinant(m) == bareiss_determinant(m) == cofactor_determinant(m), trial
+            assert sorted(grid_sizes) == sorted(sizes), trial
+
+    def test_structural_zero_needs_no_grid(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a grid was evaluated")
+
+        monkeypatch.setattr(laurent, "_grid_determinants", never)
+        m = LaurentMatrix([[ONE + S, ZERO, ZERO], [T, ZERO, ZERO], [S, T, ONE]])
+        assert all(any(row) for row in m.entries) and all(any(col) for col in zip(*m.entries))
+        assert determinant(m) == ZERO
+
+    def test_one_block_is_evaluated_whole(self, grid_sizes):
+        rng = random.Random(3)
+        m = permuted(block_triangular(rng, [5]), rng)
+        assert determinant(m) == bareiss_determinant(m)
+        assert grid_sizes == [5]
+
+    def test_zero_block_ends_the_product(self, grid_sizes):
+        rng = random.Random(4)
+        rows = block_triangular(rng, [3, 2, 3])
+        rows[3][3:5] = [ONE + S, T]
+        rows[4][3:5] = [ONE + S, T]
+        m = permuted(rows, rng)
+        assert determinant(m) == ZERO == bareiss_determinant(m)
+        assert grid_sizes == [2]
