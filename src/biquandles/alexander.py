@@ -14,7 +14,7 @@ from .braids import BraidWord
 from .errors import DomainError
 from .laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
 from .terms import BQPresentation, BQTerm, braid_act_down, braid_act_up, generator_names
-from .terms import linearize, presentation_from_braid, switch_rules
+from .terms import linearize, linearize_relations, presentation_from_braid, switch_rules
 
 _S_INV = LaurentPoly.monomial(1, -1, 0)
 _T_INV = LaurentPoly.monomial(1, 0, -1)
@@ -73,25 +73,23 @@ def _check_matrix_cells(rows: int, cols: int) -> None:
         raise DomainError(f"matrix would have {rows}x{cols} = {cells} cells, above the limit of 2^24")
 
 
-def _linear_rows(names: list[str], row_pairs: list) -> LaurentMatrix:
-    """One row per list of (term, multiplier) pairs: each generator's coefficient.
-
-    Cells are shared objects (``ZERO``, and ``linearize``'s ``ONE`` and
-    ``OP_COEFFS`` entries), so no caller may change a cell's terms in place.
-    """
-    _check_matrix_cells(len(row_pairs), len(names))
-    rows = []
-    for pairs in row_pairs:
-        coeffs = linearize(pairs, OP_COEFFS)
-        rows.append([coeffs.get(name, ZERO) for name in names])
-    return LaurentMatrix(rows)
+def _linear_rows(names: list[str], rows: list[dict]) -> LaurentMatrix:
+    """One matrix row per coefficient dict. Cells are shared objects (``ZERO``,
+    and ``linearize``'s ``ONE`` and ``OP_COEFFS`` entries), so no caller may
+    change a cell's terms in place."""
+    return LaurentMatrix([[coeffs.get(name, ZERO) for name in names] for coeffs in rows])
 
 
 def _braid_matrix(w: BraidWord, braid_act) -> LaurentMatrix:
     _check_matrix_cells(w.strands, w.strands)
     names = generator_names(w.strands)
     image = braid_act(w, tuple(BQTerm.gen(name) for name in names))
-    return _linear_rows(names, [[(t, ONE)] for t in image])
+    return _linear_rows(names, [linearize([(t, ONE)], OP_COEFFS) for t in image])
+
+
+def _relation_matrix(p: BQPresentation) -> LaurentMatrix:
+    _check_matrix_cells(len(p.relations), len(p.generators))
+    return _linear_rows(p.generators, linearize_relations(p.relations, ONE, OP_COEFFS))
 
 
 def braid_matrix_up(w: BraidWord) -> LaurentMatrix:
@@ -117,13 +115,12 @@ def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
 def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
     """Closure relations in matrix form: ``presentation_from_braid(w)`` linearized, lhs - rhs per row."""
     _check_matrix_cells(w.strands, w.strands)
-    p = presentation_from_braid(w)
-    return _linear_rows(p.generators, [[(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations])
+    return _relation_matrix(presentation_from_braid(w))
 
 
 def relation_matrix_from_presentation(p: BQPresentation) -> LaurentMatrix:
     """Linearize each relation over Z[s^±1, t^±1]; one row per relation."""
-    return _linear_rows(p.generators, [[(rel.lhs, ONE), (rel.rhs, -ONE)] for rel in p.relations])
+    return _relation_matrix(p)
 
 
 def normalize_gap(p: LaurentPoly) -> LaurentPoly:

@@ -484,9 +484,10 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        are the diagonal blocks of a block-triangular form of the matrix,
        and det M is the sign of the matching permutation times the product
        of the blocks' determinants (the sign of the row order times that of
-       the column order). One block runs steps 1-5 on the matrix itself;
-       several run steps 1-5 each, smallest first, and a zero block ends
-       the product. Matching and components take O(n * cells) time at
+       the column order). Every matrix takes this one path: each block runs
+       steps 1-5, smallest first, and a zero block ends the product. The
+       empty matrix has no blocks; its determinant is the empty product,
+       the constant 1. Matching and components take O(n * cells) time at
        worst, where cells counts the nonzero terms.
     1. Each row, then each column, is divided by the largest monomial that
        divides it, so every entry is a polynomial. When every s-exponent
@@ -517,8 +518,6 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    if n == 0:
-        return ONE
     cells = [
         (i, j, es, et, c)
         for i, row in enumerate(m.entries)
@@ -532,8 +531,6 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
     if owner is None:
         return LaurentPoly()
     blocks = _strong_components([pattern[i] for i in owner])
-    if len(blocks) == 1:
-        return _cells_determinant(cells, n)
     # Each column's block and its place there. A row takes the block and
     # place of its matched column, so every block's matched entries lie on
     # its diagonal.
@@ -567,9 +564,9 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
 
 
 def _cells_determinant(cells: list[tuple[int, int, int, int, int]], n: int) -> LaurentPoly:
-    """Steps 1-5 of ``determinant`` on the n x n matrix whose nonzero terms
-    are the cells (row, column, s-exponent, t-exponent, coefficient); every
-    row and every column has at least one cell."""
+    """Steps 1-5 of ``determinant``, called once per diagonal block: the n x n
+    matrix whose nonzero terms are the cells (row, column, s-exponent, t-exponent,
+    coefficient). Matched entries lie on its diagonal, so every line has a cell."""
     rows, cols, exp_s, exp_t, coeffs = zip(*cells)
     row_norms, col_norms = [0] * n, [0] * n
     for i, j, c in zip(rows, cols, coeffs):

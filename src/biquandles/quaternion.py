@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .laurent import check_modulus_bound, eliminate_mod, format_signed_sum, is_prime
-from .terms import BQPresentation, BQRelation, BQTerm, linearize, ll, lr, switch_rules, ul, ur
+from .terms import BQPresentation, BQRelation, BQTerm, linearize, linearize_relations, ll, lr, switch_rules, ul, ur
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ class QRelationSet:
 
 def q_relations_from_presentation(p: BQPresentation) -> QRelationSet:
     """Linearize every relation: coefficients of lhs minus coefficients of rhs."""
-    rows = [linearize([(rel.lhs, ONE_Q), (rel.rhs, -ONE_Q)], OP_COEFFS) for rel in p.relations]
-    return QRelationSet(p.generators, rows)
+    return QRelationSet(p.generators, linearize_relations(p.relations, ONE_Q, OP_COEFFS))
 
 
 # The most cells a restricted matrix may have (256 generators when square).

@@ -6,11 +6,11 @@ between terms; closing a braid word yields one presentation per strand.
 Presentations and the Laurent braid matrices both come from the one upward
 fold ``braid_act_up``: the downward action is the upward action of the
 inverse word, read from the other end. ``linearize`` is the one linearizer
-behind both the Laurent and the quaternionic linearizations. ``_postorder``
-is the one walk over term DAGs: rendering, hashing, repr, equality and
-renaming-equality (both compare structure numbers from ``_fold``), the
-generator check and ``linearize`` all take their node order from it, so
-each visits each distinct node once.
+behind both rings, and ``linearize_relations`` their one lhs - rhs rule.
+``_postorder`` is the one walk over term DAGs: rendering, hashing, repr,
+equality and renaming-equality (both compare structure numbers from
+``_fold``), the generator check and ``linearize`` all take their node order
+from it, so each visits each distinct node once.
 Parsed presentations are hash-consed: a subterm repeated anywhere in a file
 is one shared node, so the text's tree becomes a DAG.
 
@@ -371,6 +371,11 @@ def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:
         if right_mult:
             add(t.right, flow * right_mult)
     return {name: total for name, total in acc.items() if total}
+
+
+def linearize_relations(relations: list[BQRelation], one, rules: dict) -> list[dict]:
+    """One ``linearize`` row per relation lhs = rhs: lhs - rhs, ``one`` the ring's unit."""
+    return [linearize([(rel.lhs, one), (rel.rhs, -one)], rules) for rel in relations]
 
 
 def generator_names(n: int) -> list[str]:

@@ -53,3 +53,16 @@ def test_traced_run_matches_cli_and_records_counts(tmp_path, capsys):
     assert not rec.errors
     for name in ("alexander.matrix_cells", "quaternion.rank_rows", "finite.cells", "terms.rendered_bytes"):
         assert rec.counts[name] > 0, name
+
+
+def test_braid_matrix_is_traced_once():
+    """``relation_matrix_from_braid`` builds its rows without the public
+    ``relation_matrix_from_presentation``, so a traced ``gap --braid`` item
+    counts one relation matrix, not two."""
+    traced = load_traced()
+    rec = traced.Recorder()
+    rec.begin_item(0)
+    assert rec.main(["gap", "--braid", "n=3; s1 v2 -s1 v1"])[0] == 0
+    rec.end_item(0.0)
+    assert rec.calls["alexander.relation_matrix_from_braid"] == 1
+    assert rec.calls["alexander.relation_matrix_from_presentation"] == 0
