@@ -1,4 +1,7 @@
+import math
+import random
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -196,6 +199,130 @@ class TestChunking:
         assert [check_axioms(B).render() for B in cases] == [r.render() for r in expected]
 
 
+def reference_report(tables: dict, labels: list[str]) -> str:
+    """The nine verdicts by per-tuple loops over lists, as check_axioms renders them.
+
+    A universal axiom reports the first failing (a, b, c) of its first failing
+    equation, with the equation's number; an existential one the first (a, b)
+    with no witness x, in row-major order.
+    """
+    ur, lr, ul, ll = ([list(map(int, row)) for row in tables[op]] for op in OPS)
+    carrier = range(len(ur))
+
+    def tuple_text(values):
+        return " ".join(f"{var}={labels[v]}" for var, v in zip("abc", values))
+
+    def universal(name, arity, equations):
+        for eq_no, equation in enumerate(equations, start=1):
+            for values in product(carrier, repeat=arity):
+                if not equation(*values):
+                    return f"{name}: fail [counterexample {tuple_text(values)} (equation {eq_no})]"
+        return f"{name}: pass"
+
+    def existential(name, arity, condition):
+        for values in product(carrier, repeat=arity):
+            if not any(condition(*values, x) for x in carrier):
+                return f"{name}: fail [counterexample {tuple_text(values)}]"
+        return f"{name}: pass"
+
+    return "\n".join([
+        existential("axiom1", 1, lambda a, x: lr[ur[a][x]][a] == a),
+        existential("axiom1.variant", 1, lambda a, x: ll[ul[a][x]][a] == a),
+        existential("axiom2", 1, lambda a, x: ll[a][x] == x and ul[x][a] == a),
+        existential("axiom2.variant", 1, lambda a, x: lr[a][x] == x and ur[x][a] == a),
+        universal("axiom3", 2, [
+            lambda a, b: ll[lr[a][b]][ur[b][a]] == a,
+            lambda a, b: ul[ur[a][b]][lr[b][a]] == a,
+            lambda a, b: ur[ul[a][b]][ll[b][a]] == a,
+            lambda a, b: lr[ll[a][b]][ul[b][a]] == a,
+        ]),
+        existential("axiom4", 2, lambda a, b, x: ur[a][ll[b][x]] == x and ul[x][b] == a and lr[ll[b][x]][a] == b),
+        existential("axiom4.variant", 2, lambda a, b, x: ul[a][lr[b][x]] == x and ur[x][b] == a and ll[lr[b][x]][a] == b),
+        universal("axiom5", 3, [
+            lambda a, b, c: ur[ur[a][b]][c] == ur[ur[a][lr[c][b]]][ur[b][c]],
+            lambda a, b, c: lr[lr[a][b]][c] == lr[lr[a][ur[c][b]]][lr[b][c]],
+            lambda a, b, c: ur[lr[a][b]][lr[c][ur[b][a]]] == lr[ur[a][c]][ur[b][lr[c][a]]],
+        ]),
+        universal("axiom5.variant", 3, [
+            lambda a, b, c: ul[ul[a][b]][c] == ul[ul[a][ll[c][b]]][ul[b][c]],
+            lambda a, b, c: ll[ll[a][b]][c] == ll[ll[a][ul[c][b]]][ll[b][c]],
+            lambda a, b, c: ul[ll[a][b]][ll[c][ul[b][a]]] == ll[ul[a][c]][ul[b][ll[c][a]]],
+        ]),
+    ])
+
+
+def linear_tables(rng: random.Random, m: int) -> dict:
+    units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+    return {op: table.tolist() for op, table in finite_alexander_biquandle(m, rng.choice(units), rng.choice(units)).tables.items()}
+
+
+def random_case(rng):
+    m = rng.randint(1, 6)
+    return {op: [[rng.randrange(m) for _ in range(m)] for _ in range(m)] for op in OPS}, None
+
+
+def corrupted_linear_case(rng):
+    tables = linear_tables(rng, m := rng.randint(2, 6))
+    for _ in range(rng.randint(1, 3)):
+        op, a, b = rng.choice(OPS), rng.randrange(m), rng.randrange(m)
+        tables[op][a][b] = (tables[op][a][b] + rng.randrange(1, m)) % m
+    return tables, None
+
+
+def one_element_case(rng):
+    return {op: [[0]] for op in OPS}, rng.choice([None, ["e"]])
+
+
+def labelled_case(rng):
+    tables, _ = rng.choice([random_case, corrupted_linear_case])(rng)
+    m = len(tables["ur"])
+    return tables, rng.sample(["p", "q", "1+i", "-j", "x0", "y", "k2"], m)
+
+
+def unpinned_case(rng):
+    """A linear table whose ul or ur column b repeats an entry, so that two x
+    pin one a and some a is pinned by no x."""
+    tables = linear_tables(rng, m := rng.randint(2, 6))
+    pin = tables[rng.choice(["ul", "ur"])]
+    b, x, y = rng.randrange(m), *rng.sample(range(m), 2)
+    pin[y][b] = pin[x][b]
+    return tables, None
+
+
+CASE_KINDS = {
+    "random": (random_case, 60),
+    "corrupted-linear": (corrupted_linear_case, 60),
+    "one-element": (one_element_case, 4),
+    "labelled": (labelled_case, 40),
+    "unpinned": (unpinned_case, 40),
+}
+
+
+class TestReferenceChecker:
+    """check_axioms renders what per-tuple loops render, on 204 tables with m <= 6."""
+
+    @pytest.mark.parametrize("kind", sorted(CASE_KINDS))
+    def test_render_matches_the_loops(self, kind):
+        make, count = CASE_KINDS[kind]
+        rng = random.Random(f"axioms-{kind}")
+        failed = set()
+        for _ in range(count):
+            tables, labels = make(rng)
+            B = FiniteBiquandle(tables, labels)
+            expected = reference_report(tables, B.labels)
+            assert check_axioms(B).render() == expected, (tables, labels)
+            failed.update(line.split(":")[0] for line in expected.splitlines() if "fail" in line)
+        if kind == "unpinned":  # a repeated pin entry leaves some (a, b) without a witness
+            assert failed & {"axiom4", "axiom4.variant"}
+        if kind in ("random", "corrupted-linear"):
+            assert {"axiom4", "axiom4.variant", "axiom5", "axiom5.variant"} <= failed
+
+    def test_linear_tables_pass_the_loops(self):
+        rng = random.Random(19)
+        for m in range(1, 7):
+            assert "fail" not in reference_report(linear_tables(rng, m), [str(i) for i in range(m)])
+
+
 class TestQuaternionicTables:
     def test_carrier_size(self):
         assert finite_quaternionic_biquandle(3).size == 81
@@ -281,10 +408,12 @@ class TestTableFiles:
             ("size １\nur\n0\nlr\n0\nul\n0\nll\n0\n", "bad size line 'size １'"),
             ("size 0\n", "carrier size must be >= 1, got 0"),
             ("size 2\nur\n0 1\n1 0\nlr\n0 1\n", "lr table is missing rows (need 2)"),
+            ("size 3\nur\n0 1 2\n0 4 5\n0 9 0\n", "ur table entry 4 out of range 0..2"),
+            ("size 3\nur\n0 1 2\n0 1 2\n0 1 2\nll\n0 1 2\n2 1 0\n0 x 3\n", "non-integer entry in ll table row '0 x 3'"),
         ],
         ids=[
             "keyword-prefix", "underscore", "sign", "over-long", "non-ascii-digit", "non-ascii-size",
-            "size-zero", "missing-rows",
+            "size-zero", "missing-rows", "first-out-of-range-entry", "non-integer-before-range",
         ],
     )
     def test_exact_keyword_and_unsigned_decimal_entries(self, text, message):
