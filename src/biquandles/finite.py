@@ -133,7 +133,8 @@ def _check(B: FiniteBiquandle, name: str, arity: int, equations, exists: bool = 
     """
     m = B.size
     dims = arity + exists
-    grids = [np.arange(m, dtype=np.int32).reshape([m if j == k else 1 for j in range(dims)]) for k in range(dims)]
+    index = np.arange(m, dtype=np.int32)
+    grids = [index.reshape([m if j == k else 1 for j in range(dims)]) for k in range(dims)]
     step = max(1, _CHUNK_BUDGET // m ** (dims - 1))
     for eq_no, equation in enumerate(equations, start=1):
         for lo in range(0, m, step):
@@ -157,7 +158,8 @@ def _check_witness(B: FiniteBiquandle, name: str, pin: _FlatTable, condition) ->
     order is the counterexample that search reports.
     """
     m = B.size
-    b, x = np.arange(m, dtype=np.int32)[:, None], np.arange(m, dtype=np.int32)[None, :]
+    index = np.arange(m, dtype=np.int32)
+    b, x = index[:, None], index[None, :]
     a = pin[x, b]
     covered = np.zeros(m * m, dtype=bool)
     covered[(a * m + b)[condition(a, b, x)]] = True
@@ -199,8 +201,10 @@ def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
             lambda a, b: lr[ll[a, b], ul[b, a]] == a,
         ]),
         # Every (a, b) has an x with ul[x, b] == a (ur in the variant) and the two conditions.
-        _check_witness(B, "axiom4", ul, lambda a, b, x: (ur[a, ll[b, x]] == x) & (lr[ll[b, x], a] == b)),
-        _check_witness(B, "axiom4.variant", ur, lambda a, b, x: (ul[a, lr[b, x]] == x) & (ll[lr[b, x], a] == b)),
+        _check_witness(B, "axiom4", ul,
+                       lambda a, b, x: (ur[a, ll[b, x]] == x) & (lr[ll[b, x], a] == b)),
+        _check_witness(B, "axiom4.variant", ur,
+                       lambda a, b, x: (ul[a, lr[b, x]] == x) & (ll[lr[b, x], a] == b)),
         _check(B, "axiom5", 3, [
             lambda a, b, c: ur[ur[a, b], c] == ur[ur[a, lr[c, b]], ur[b, c]],
             lambda a, b, c: lr[lr[a, b], c] == lr[lr[a, ur[c, b]], lr[b, c]],

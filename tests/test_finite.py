@@ -200,13 +200,13 @@ class TestChunking:
 
 
 def reference_report(tables: dict, labels: list[str]) -> str:
-    """The nine verdicts by per-tuple loops over lists, as check_axioms renders them.
+    """The nine verdicts by per-tuple loops over lists of rows, as check_axioms renders them.
 
     A universal axiom reports the first failing (a, b, c) of its first failing
-    equation, with the equation's number; an existential one the first (a, b)
+    equation, with the equation's number; an existential one the first tuple
     with no witness x, in row-major order.
     """
-    ur, lr, ul, ll = ([list(map(int, row)) for row in tables[op]] for op in OPS)
+    ur, lr, ul, ll = (tables[op] for op in OPS)
     carrier = range(len(ur))
 
     def tuple_text(values):
@@ -236,8 +236,10 @@ def reference_report(tables: dict, labels: list[str]) -> str:
             lambda a, b: ur[ul[a][b]][ll[b][a]] == a,
             lambda a, b: lr[ll[a][b]][ul[b][a]] == a,
         ]),
-        existential("axiom4", 2, lambda a, b, x: ur[a][ll[b][x]] == x and ul[x][b] == a and lr[ll[b][x]][a] == b),
-        existential("axiom4.variant", 2, lambda a, b, x: ul[a][lr[b][x]] == x and ur[x][b] == a and ll[lr[b][x]][a] == b),
+        existential("axiom4", 2,
+                    lambda a, b, x: ur[a][ll[b][x]] == x and ul[x][b] == a and lr[ll[b][x]][a] == b),
+        existential("axiom4.variant", 2,
+                    lambda a, b, x: ul[a][lr[b][x]] == x and ur[x][b] == a and ll[lr[b][x]][a] == b),
         universal("axiom5", 3, [
             lambda a, b, c: ur[ur[a][b]][c] == ur[ur[a][lr[c][b]]][ur[b][c]],
             lambda a, b, c: lr[lr[a][b]][c] == lr[lr[a][ur[c][b]]][lr[b][c]],
@@ -253,7 +255,8 @@ def reference_report(tables: dict, labels: list[str]) -> str:
 
 def linear_tables(rng: random.Random, m: int) -> dict:
     units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
-    return {op: table.tolist() for op, table in finite_alexander_biquandle(m, rng.choice(units), rng.choice(units)).tables.items()}
+    B = finite_alexander_biquandle(m, rng.choice(units), rng.choice(units))
+    return {op: table.tolist() for op, table in B.tables.items()}
 
 
 def random_case(rng):
