@@ -2,9 +2,9 @@
 
 A finite biquandle on m elements is one (4, m, m) int32 array, an m x m table
 per operation with entries in 0..m-1. The checker verifies every axiom by
-numpy broadcasting, each lookup one gather from a flat table. Axioms 1 and 2
-search the whole carrier for their witness x; in axiom 4 one conjunct fixes
-a from (b, x), so it sweeps the m^2 pairs (b, x) instead of an m^3 cube.
+numpy broadcasting, each lookup one gather from a flat table. Axioms 3 and 5
+sweep every tuple; in the existential axioms 1, 2 and 4 a witness x pins the
+one tuple it can witness, so they sweep the m^2 pairs (u, x), not a cube.
 
 Table file grammar (``#`` starts a comment):
 
@@ -122,51 +122,50 @@ class _FlatTable:
         return self.flat.take(x * self.m + y)
 
 
-def _check(B: FiniteBiquandle, name: str, arity: int, equations, exists: bool = False) -> AxiomCheck:
+def _failure(B: FiniteBiquandle, name: str, first, note: str = "") -> AxiomCheck:
+    detail = " ".join(f"{var}={B.label(int(i))}" for var, i in zip("abc", first))
+    return AxiomCheck(name, False, detail + note)
+
+
+def _check(B: FiniteBiquandle, name: str, arity: int, equations) -> AxiomCheck:
     """Check that each equation holds for every arity-tuple (a, b, c)[:arity].
 
     Equations take one broadcast index grid per variable and return a boolean
-    array. With exists, a trailing variable x is added and a tuple passes
-    when some x satisfies the equation. Blocks of the first variable keep
-    each array near _CHUNK_BUDGET entries. The first failing tuple of the
-    first failing equation is reported; only universal axioms number it.
+    array. Blocks of the first variable keep each array near _CHUNK_BUDGET
+    entries. The first failing tuple of the first failing equation is
+    reported with its equation number.
     """
     m = B.size
-    dims = arity + exists
     index = np.arange(m, dtype=np.int32)
-    grids = [index.reshape([m if j == k else 1 for j in range(dims)]) for k in range(dims)]
-    step = max(1, _CHUNK_BUDGET // m ** (dims - 1))
+    grids = [index.reshape([m if j == k else 1 for j in range(arity)]) for k in range(arity)]
+    step = max(1, _CHUNK_BUDGET // m ** (arity - 1))
     for eq_no, equation in enumerate(equations, start=1):
         for lo in range(0, m, step):
             ok = equation(grids[0][lo : lo + step], *grids[1:])
-            if exists:
-                ok = ok.any(axis=-1)
             if not ok.all():
                 first = np.argwhere(~ok)[0]
                 first[0] += lo
-                detail = " ".join(f"{var}={B.label(int(i))}" for var, i in zip("abc", first))
-                return AxiomCheck(name, False, detail if exists else f"{detail} (equation {eq_no})")
+                return _failure(B, name, first, f" (equation {eq_no})")
     return AxiomCheck(name, True)
 
 
-def _check_witness(B: FiniteBiquandle, name: str, pin: _FlatTable, condition) -> AxiomCheck:
-    """Check that every pair (a, b) has an x with pin[x, b] == a and condition(a, b, x).
+def _check_witness(B: FiniteBiquandle, name: str, pin, condition) -> AxiomCheck:
+    """Check that every tuple (a,) or (a, b) has an x with condition(*tuple, x).
 
-    Only a = pin[x, b] can be witnessed by x for b, so one sweep over the m^2
-    pairs (b, x) marks every (a, b) that has a witness, where _check with
-    exists would search an m^3 cube. The first unmarked (a, b) in row-major
-    order is the counterexample that search reports.
+    pin(u, x) names the one tuple x can witness at (u, x), so one sweep over
+    the m^2 pairs marks every tuple with a witness. The first unmarked tuple
+    in row-major order, the first a search of every tuple reports, is the
+    counterexample, without an equation number.
     """
     m = B.size
-    index = np.arange(m, dtype=np.int32)
-    b, x = index[:, None], index[None, :]
-    a = pin[x, b]
-    covered = np.zeros(m * m, dtype=bool)
-    covered[(a * m + b)[condition(a, b, x)]] = True
+    u, x = np.indices((m, m), dtype=np.int32)
+    pinned = pin(u, x)
+    ok = condition(*pinned, x)
+    covered = np.zeros((m,) * len(pinned), dtype=bool)
+    covered[tuple(v[ok] for v in pinned)] = True
     if covered.all():
         return AxiomCheck(name, True)
-    a, b = divmod(int(covered.argmin()), m)
-    return AxiomCheck(name, False, f"a={B.label(a)} b={B.label(b)}")
+    return _failure(B, name, np.unravel_index(covered.argmin(), covered.shape))
 
 
 def check_carrier_size(size: int, force: bool = False) -> None:
@@ -190,20 +189,20 @@ def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
     check_carrier_size(B.size, force)
     ur, lr, ul, ll = (_FlatTable(B.tables[op]) for op in OPS)
     return AxiomReport((
-        _check(B, "axiom1", 1, [lambda a, x: lr[ur[a, x], a] == a], exists=True),
-        _check(B, "axiom1.variant", 1, [lambda a, x: ll[ul[a, x], a] == a], exists=True),
-        _check(B, "axiom2", 1, [lambda a, x: (ll[a, x] == x) & (ul[x, a] == a)], exists=True),
-        _check(B, "axiom2.variant", 1, [lambda a, x: (lr[a, x] == x) & (ur[x, a] == a)], exists=True),
+        _check_witness(B, "axiom1", lambda a, x: (a,), lambda a, x: lr[ur[a, x], a] == a),
+        _check_witness(B, "axiom1.variant", lambda a, x: (a,), lambda a, x: ll[ul[a, x], a] == a),
+        _check_witness(B, "axiom2", lambda a, x: (a,), lambda a, x: (ll[a, x] == x) & (ul[x, a] == a)),
+        _check_witness(B, "axiom2.variant", lambda a, x: (a,), lambda a, x: (lr[a, x] == x) & (ur[x, a] == a)),
         _check(B, "axiom3", 2, [
             lambda a, b: ll[lr[a, b], ur[b, a]] == a,
             lambda a, b: ul[ur[a, b], lr[b, a]] == a,
             lambda a, b: ur[ul[a, b], ll[b, a]] == a,
             lambda a, b: lr[ll[a, b], ul[b, a]] == a,
         ]),
-        # Every (a, b) has an x with ul[x, b] == a (ur in the variant) and the two conditions.
-        _check_witness(B, "axiom4", ul,
+        # x witnesses (a, b) only if ul[x, b] == a (ur in the variant), so x pins (ul[x, b], b).
+        _check_witness(B, "axiom4", lambda b, x: (ul[x, b], b),
                        lambda a, b, x: (ur[a, ll[b, x]] == x) & (lr[ll[b, x], a] == b)),
-        _check_witness(B, "axiom4.variant", ur,
+        _check_witness(B, "axiom4.variant", lambda b, x: (ur[x, b], b),
                        lambda a, b, x: (ul[a, lr[b, x]] == x) & (ll[lr[b, x], a] == b)),
         _check(B, "axiom5", 3, [
             lambda a, b, c: ur[ur[a, b], c] == ur[ur[a, lr[c, b]], ur[b, c]],

@@ -484,8 +484,9 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        are the diagonal blocks of a block-triangular form of the matrix,
        and det M is the sign of the matching permutation times the product
        of the blocks' determinants (the sign of the row order times that of
-       the column order). Every matrix takes this one path: each block runs
-       steps 1-5, smallest first, and a zero block ends the product. The
+       the column order). Every matrix takes this one path: blocks are taken
+       smallest first, a 1 x 1 block's determinant is its entry, every
+       larger block runs steps 1-5, and a zero block ends the product. The
        empty matrix has no blocks; its determinant is the empty product,
        the constant 1. Matching and components take O(n * cells) time at
        worst, where cells counts the nonzero terms.
@@ -556,7 +557,10 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
             k = owner[k]
     det = LaurentPoly.const(sign)
     for b in sorted(range(len(blocks)), key=lambda b: len(blocks[b])):
-        part = _cells_determinant(block_cells[b], len(blocks[b]))
+        if len(blocks[b]) == 1:  # the block's one entry is its determinant
+            part = LaurentPoly({(es, et): c for _, _, es, et, c in block_cells[b]})
+        else:
+            part = _cells_determinant(block_cells[b], len(blocks[b]))
         if not part:
             return part
         det = det * part

@@ -12,7 +12,7 @@ from biquandles import alexander, cli, finite, quaternion
 from biquandles.braids import BraidWord, random_braid, render_braid_word
 from biquandles.cli import main, run
 from biquandles.laurent import ONE, S, LaurentPoly, format_poly
-from biquandles.terms import BQPresentation, presentation_from_braid, presentation_from_braid_down
+from biquandles.terms import BQPresentation, parse_presentation, presentation_from_braid, presentation_from_braid_down
 from biquandles.terms import presentation_size_floor
 
 # Child interpreters import the same package the tests imported, also from a
@@ -137,6 +137,20 @@ class TestGap:
         assert seconds < 20
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == format_poly(prod([ONE - S] * 1000, start=ONE)) + "\n"
+
+    def test_deep_right_nested_entry_is_read_off(self, tmp_path):
+        """ur(a,ur(a,...ur(a,a)...)) = a, 400 deep, is one 1 x 1 block whose
+        entry has s- and t-degree near 400; evaluated on its degree grid it
+        took about 20 s."""
+        depth = 400
+        text = "gens a\nrel " + "ur(a," * depth + "a" + ")" * depth + " = a\n"
+        path = tmp_path / "deep.bq"
+        path.write_text(text)
+        proc, seconds = _run_child("gap", "--presentation", str(path))
+        assert seconds < 5
+        assert (proc.returncode, proc.stderr) == (0, "")
+        [[entry]] = alexander.relation_matrix_from_presentation(parse_presentation(text)).entries
+        assert proc.stdout == format_poly(alexander.normalize_gap(entry)) + "\n"
 
     def test_matrix_of_exactly_the_limit_is_filled(self, capsys, monkeypatch):
         monkeypatch.setattr(alexander, "MAX_MATRIX_CELLS", 4)

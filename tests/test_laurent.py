@@ -332,13 +332,16 @@ class TestModularDeterminant:
         assert [determinant(m) for m in matrices] == expected
 
     def test_sparse_entry_costs_two_points_not_its_degree(self):
-        """t^8000 + 1 is a polynomial in t^8000: its degree box is 2, not 8001."""
-        determinant(LaurentMatrix([[S + T]]))
-        m = LaurentMatrix([[LaurentPoly({(0, 8000): 1, (0, 0): 1})]])
-        start = time.perf_counter()
-        det = determinant(m)
-        assert time.perf_counter() - start < 0.1
-        assert det == bareiss_determinant(m)
+        """A 1 x 1 block such as t^8000 + 1 is read off. The 2 x 2 block of
+        e = s^300 t^300 + 1 is a polynomial in s^300 and t^300, so its grid
+        is 3 x 3, not 601 x 601."""
+        determinant(LaurentMatrix([[S, T], [T, S]]))
+        e = LaurentPoly({(300, 300): 1, (0, 0): 1})
+        for m in (LaurentMatrix([[LaurentPoly({(0, 8000): 1, (0, 0): 1})]]), LaurentMatrix([[e, ONE], [ONE, e]])):
+            start = time.perf_counter()
+            det = determinant(m)
+            assert time.perf_counter() - start < 0.1
+            assert det == bareiss_determinant(m)
 
     def test_deep_ll_chain_entry(self):
         """An N-deep ll(ll(...),a) chain linearizes to the entry s^-N - 1."""
@@ -414,7 +417,8 @@ class TestBlockSplit:
             m = permuted(block_triangular(rng, sizes), rng)
             grid_sizes.clear()
             assert determinant(m) == bareiss_determinant(m) == cofactor_determinant(m), trial
-            assert sorted(grid_sizes) == sorted(sizes), trial
+            # A 1 x 1 block is read off as its entry, with no grid.
+            assert sorted(grid_sizes) == sorted(n for n in sizes if n > 1), trial
 
     def test_structural_zero_needs_no_grid(self, monkeypatch):
         def never(*args):
