@@ -238,6 +238,12 @@ MODULUS_LIMIT = 1 << 31
 # The most int64 elements one block of the evaluation grid puts in one array;
 # a block shrinks to one grid point, never further.
 _BLOCK_ELEMENTS = 1 << 14
+# The maps (i, j) -> (i - k*j, j - l*i) of exponent pairs, one per (k, l). Each
+# has determinant 1, so it is a ring automorphism of Z[s^-1, s, t^-1, t] and
+# commutes with the determinant. Rows 2m and 2m + 1 of _MAP_ROWS give the s-
+# and t-exponent under map m.
+_MAPS = ((0, 0), (1, 0), (0, 1))
+_MAP_ROWS = np.array([row for k, l in _MAPS for row in ((1, -k), (-l, 1))], dtype=np.int64)
 
 
 def is_prime(n: int) -> bool:
@@ -366,13 +372,6 @@ def _interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
     return out[..., ::-1]
 
 
-def _line_degree_sum(line: np.ndarray, exp: np.ndarray, n: int) -> int:
-    """Sum over the n rows (or columns) of the largest exponent in each."""
-    top = np.zeros(n, dtype=np.int64)
-    np.maximum.at(top, line, exp)
-    return int(top.sum())
-
-
 def _grid_determinants(dense: np.ndarray, n: int, box_s: int, box_t: int, p: np.ndarray) -> np.ndarray:
     """out[r, x, y] = det of the matrix at s = x, t = y, mod p[r].
 
@@ -497,7 +496,15 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        s^N - 1 costs two grid points, not N + 1.
     2. Degree box: the determinant's s-degree is at most Ds, the smaller of
        the sum over rows and the sum over columns of the largest s-exponent
-       in that row or column; its t-degree is at most Dt, likewise.
+       in that row or column; its t-degree is at most Dt, likewise. Steps 1
+       and 2 run in one pass under each of three maps of the exponents,
+       (i, j) -> (i - k*j, j - l*i) for (k, l) = (0, 0), (1, 0) and (0, 1)
+       (_MAPS). Each has determinant 1, so it is a ring automorphism of
+       Z[s^-1, s, t^-1, t] and commutes with the determinant. The map whose
+       box has the fewest points (Ds+1)(Dt+1) is kept, the identity on a
+       tie. Entries built from 1 - st, s and t lie on a band along i = j,
+       which a rectangle in (i, j) covers poorly and (i - j, j) or
+       (i, j - i) covers well.
     3. Coefficient bound: every coefficient is at most B in absolute value,
        B the smaller of the product of the row L1 norms and the product of
        the column L1 norms (a line's L1 norm sums the absolute values of all
@@ -508,13 +515,15 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        batched int64 numpy arrays, block by block.
     5. Newton interpolation along t, then along s, gives every coefficient
        mod every prime, and the Chinese remainder theorem lifts it to the
-       symmetric range -M/2 < c < M/2, which holds it since |c| <= B.
+       symmetric range -M/2 < c < M/2, which holds it since |c| <= B. The
+       inverse of the kept map, (a, b) -> (a + k*b, b + l*a), takes each
+       exponent pair back.
 
     All arithmetic is on integers (int64 residues and Python ints); no float
     is used. Per block of size n, time grows as the number of primes times
     (Ds+1)(Dt+1) times n^3 + Ds + Dt, memory as the number of primes times
-    (Ds+1)(Dt+1), with Ds and Dt the block's box after the division by g
-    and h.
+    (Ds+1)(Dt+1), with Ds and Dt the box of the block's kept map, after the
+    division by g and h.
     """
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
@@ -577,22 +586,27 @@ def _cells_determinant(cells: list[tuple[int, int, int, int, int]], n: int) -> L
         row_norms[i] += abs(c)
         col_norms[j] += abs(c)
     bound = min(prod(row_norms), prod(col_norms))
-    rows, cols, exp_s, exp_t = (np.array(v, dtype=np.int64) for v in (rows, cols, exp_s, exp_t))
-    shift = [0, 0]
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    exp = _MAP_ROWS @ np.array((exp_s, exp_t), dtype=np.int64)
+    shift = np.zeros(len(exp), dtype=np.int64)
     for line in (rows, cols):
-        for axis, exp in enumerate((exp_s, exp_t)):
-            low = np.full(n, exp.max())
-            np.minimum.at(low, line, exp)
-            exp -= low[line]
-            shift[axis] += int(low.sum())
+        low = np.full((n, len(exp)), exp.max())
+        np.minimum.at(low, line, exp.T)
+        exp -= low[line].T
+        shift += low.sum(axis=0)
     # Entries in s^g (or t^h) only: work in u = s^g, whose determinant in u
     # is the determinant in s with every exponent divided by g.
-    step = []
-    for exp in (exp_s, exp_t):
-        step.append(int(np.gcd.reduce(exp)) or 1)
-        exp //= step[-1]
-    box_s, box_t = (
-        min(_line_degree_sum(rows, exp, n), _line_degree_sum(cols, exp, n)) + 1 for exp in (exp_s, exp_t)
+    step = np.maximum(np.gcd.reduce(exp, axis=1), 1)
+    exp //= step[:, None]
+    top = np.zeros((2, n, len(exp)), dtype=np.int64)
+    for side, line in zip(top, (rows, cols)):
+        np.maximum.at(side, line, exp.T)
+    boxes = top.sum(axis=1).min(axis=0) + 1
+    # The map with the fewest grid points; argmin keeps the identity on a tie.
+    best = int(np.argmin(boxes[0::2] * boxes[1::2]))
+    exp_s, exp_t = exp[2 * best : 2 * best + 2]
+    (box_s, box_t), (step_s, step_t), (shift_s, shift_t) = (
+        v[2 * best : 2 * best + 2].tolist() for v in (boxes, step, shift)
     )
     primes, modulus = [], 1
     while modulus <= 2 * bound:
@@ -611,12 +625,13 @@ def _cells_determinant(cells: list[tuple[int, int, int, int, int]], n: int) -> L
         cofactor = modulus // q
         lifted = lifted + res.astype(object) * (cofactor * pow(cofactor, -1, q))
     half = modulus // 2
-    return LaurentPoly(
-        {
-            (a * step[0] + shift[0], b * step[1] + shift[1]): c - modulus if c > half else c
-            for a, b, c in zip(at_s.tolist(), at_t.tolist(), (lifted % modulus).tolist())
-        }
-    )
+    # (a, b) -> (a + k*b, b + l*a) inverts the chosen map, since k*l = 0.
+    k, l = _MAPS[best]
+    out = {}
+    for a, b, c in zip(at_s.tolist(), at_t.tolist(), (lifted % modulus).tolist()):
+        a, b = a * step_s + shift_s, b * step_t + shift_t
+        out[a + k * b, b + l * a] = c - modulus if c > half else c
+    return LaurentPoly(out)
 
 
 def bareiss_determinant(m: LaurentMatrix) -> LaurentPoly:

@@ -17,7 +17,7 @@ from biquandles.alexander import (
 )
 from biquandles.braids import BraidLetter, BraidWord, invert_braid, parse_braid_word, random_braid
 from biquandles.errors import DomainError
-from biquandles.laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, format_poly
+from biquandles.laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
 from biquandles.terms import parse_presentation, presentation_from_braid
 
 
@@ -233,3 +233,17 @@ class TestGap:
         assert 0 < texts.count("0") < 120
         digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
         assert digest == "789135ca9cad2368d246a97d63cb2761fd4187ba442063a967ca667fc8e9e23d"
+
+    def test_raw_determinants_are_pinned(self):
+        """The unnormalized determinants of 40 braids shaped like gap-dense
+        items (n 4-6, L 30-45) and of 40 wide chain words (n 12-20); the
+        digest is the one computed before ``determinant`` chose a map of the
+        exponents per block."""
+        words = []
+        for seed in range(200, 240):
+            rng = random.Random(seed)
+            words.append(random_braid(rng.randint(4, 6), rng.randint(30, 45), seed))
+        words += [wide_chain_word(seed) for seed in range(120, 160)]
+        texts = [format_poly(determinant(relation_matrix_from_braid(w))) for w in words]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "60fbde27691df73a43cc7c8010400d2b86b49e966858f31ffccf4e92bbe232f7"

@@ -11,7 +11,7 @@ import biquandles
 from biquandles import alexander, cli, finite, quaternion
 from biquandles.braids import BraidWord, random_braid, render_braid_word
 from biquandles.cli import main, run
-from biquandles.laurent import ONE, S, LaurentPoly, format_poly
+from biquandles.laurent import ONE, S, LaurentPoly, cofactor_determinant, format_poly
 from biquandles.terms import BQPresentation, parse_presentation, presentation_from_braid, presentation_from_braid_down
 from biquandles.terms import presentation_size_floor
 
@@ -151,6 +151,21 @@ class TestGap:
         assert (proc.returncode, proc.stderr) == (0, "")
         [[entry]] = alexander.relation_matrix_from_presentation(parse_presentation(text)).entries
         assert proc.stdout == format_poly(alexander.normalize_gap(entry)) + "\n"
+
+    def test_deep_two_generator_block_takes_the_sheared_box(self, tmp_path):
+        """ur(b,ur(b,...ur(b,a)...)) = b, 400 deep, with ur(a,b) = a, is one
+        2 x 2 block whose entries lie on a band along i = j, near degree 400
+        in s and in t. Its box in (i - j, j) has 1,206 points, not the
+        161,604 of its box in (i, j), which took about 37 s."""
+        depth = 400
+        text = "gens a b\nrel " + "ur(b," * depth + "a" + ")" * depth + " = b\nrel ur(a,b) = a\n"
+        path = tmp_path / "deep2.bq"
+        path.write_text(text)
+        proc, seconds = _run_child("gap", "--presentation", str(path))
+        assert seconds < 5
+        assert (proc.returncode, proc.stderr) == (0, "")
+        m = alexander.relation_matrix_from_presentation(parse_presentation(text))
+        assert proc.stdout == format_poly(alexander.normalize_gap(cofactor_determinant(m))) + "\n"
 
     def test_matrix_of_exactly_the_limit_is_filled(self, capsys, monkeypatch):
         monkeypatch.setattr(alexander, "MAX_MATRIX_CELLS", 4)

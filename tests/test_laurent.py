@@ -327,6 +327,9 @@ class TestModularDeterminant:
     def test_blocks_of_one_point_give_the_same_determinant(self, monkeypatch):
         matrices = seeded_matrices(8, 30, max_n=3, coeff=1 << 30)
         matrices.append(relation_matrix_from_braid(random_braid(4, 12, 3)))
+        # Kept under the map (i, j) -> (i - j, j): 9 points, against 21 in (i, j).
+        e = ONE - LaurentPoly.monomial(1, 3, 2)
+        matrices.append(LaurentMatrix([[e, S], [S, e]]))
         expected = [determinant(m) for m in matrices]
         monkeypatch.setattr(laurent, "_BLOCK_ELEMENTS", 1)
         assert [determinant(m) for m in matrices] == expected
@@ -444,3 +447,90 @@ class TestBlockSplit:
         m = permuted(rows, rng)
         assert determinant(m) == ZERO == bareiss_determinant(m)
         assert grid_sizes == [2]
+
+
+def band_matrix(rng, n):
+    """An n x n matrix whose entries on the band |i - j| <= 1 each sum one to
+    three terms drawn from 1 - st, s, t, (st)^k, s^-1 t^-1 and the sparse
+    powers s^g and t^h, with k, g and h drawn once per matrix; zeros off it."""
+    k, g, h = rng.randint(2, 4), rng.randint(2, 5), rng.randint(2, 5)
+    vocabulary = [
+        ONE - S * T,
+        S,
+        T,
+        LaurentPoly.monomial(1, k, k),
+        LaurentPoly.monomial(1, -1, -1),
+        LaurentPoly.monomial(1, g, 0),
+        LaurentPoly.monomial(1, 0, h),
+    ]
+    return LaurentMatrix([
+        [
+            sum((rng.choice((-2, -1, 1, 3)) * p for p in rng.sample(vocabulary, rng.randint(1, 3))), ZERO)
+            if abs(i - j) <= 1 else ZERO
+            for j in range(n)
+        ]
+        for i in range(n)
+    ])
+
+
+class TestExponentMaps:
+    """Each block is evaluated under the map of the exponents whose box has
+    the fewest points; the determinant maps back."""
+
+    @pytest.fixture
+    def boxes(self, monkeypatch):
+        out = []
+        grid = laurent._grid_determinants
+
+        def recording(dense, n, box_s, box_t, p):
+            out.append((box_s, box_t))
+            return grid(dense, n, box_s, box_t, p)
+
+        monkeypatch.setattr(laurent, "_grid_determinants", recording)
+        return out
+
+    @staticmethod
+    def boxes_by_map(m, boxes, monkeypatch):
+        """The boxes of m's blocks under each map alone, and then the boxes
+        ``determinant`` evaluates; every run must give the Bareiss determinant."""
+        expected = bareiss_determinant(m)
+        by_map = []
+        for index in range(len(laurent._MAPS)):
+            with monkeypatch.context() as only:
+                only.setattr(laurent, "_MAPS", (laurent._MAPS[index],))
+                only.setattr(laurent, "_MAP_ROWS", laurent._MAP_ROWS[2 * index : 2 * index + 2])
+                boxes.clear()
+                assert determinant(m) == expected
+                by_map.append(list(boxes))
+        boxes.clear()
+        assert determinant(m) == expected
+        return by_map, list(boxes)
+
+    @pytest.mark.parametrize(
+        "entry, other, points",
+        [
+            (S + T, ONE, [9, 15, 15]),
+            (ONE - LaurentPoly.monomial(1, 3, 2), S, [21, 9, 21]),
+            (ONE - LaurentPoly.monomial(1, 2, 3), T, [21, 21, 9]),
+        ],
+        ids=["identity", "i-j", "j-i"],
+    )
+    def test_the_one_map_that_shrinks_the_box_is_kept(self, boxes, monkeypatch, entry, other, points):
+        m = LaurentMatrix([[entry, other], [other, entry]])
+        by_map, kept = self.boxes_by_map(m, boxes, monkeypatch)
+        assert [box_s * box_t for [(box_s, box_t)] in by_map] == points
+        assert kept == [(3, 3)]
+        assert determinant(m) == cofactor_determinant(m)
+
+    def test_band_matrices_match_bareiss_and_keep_every_map(self, boxes, monkeypatch):
+        rng = random.Random(23)
+        kept_maps = set()
+        for trial in range(40):
+            m = band_matrix(rng, rng.randint(2, 4))
+            by_map, kept = self.boxes_by_map(m, boxes, monkeypatch)
+            for b, box in enumerate(kept):
+                points = [box_s * box_t for box_s, box_t in (boxes_m[b] for boxes_m in by_map)]
+                best = points.index(min(points))
+                assert box == by_map[best][b], trial
+                kept_maps.add(best)
+        assert kept_maps == {0, 1, 2}
