@@ -5,7 +5,8 @@ the determinant of the resulting relation matrix, normalized up to units, is
 an invariant of the braid closure. Every matrix is ``terms.linearize`` with
 ``OP_COEFFS`` applied to terms: relations, or a braid's term images under
 ``braid_act_up``/``braid_act_down`` (the one upward fold), so the term
-morphisms state each crossing.
+morphisms state each crossing. A braid closure's relation matrix is M - I
+for M = ``braid_matrix_up(w)``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .braids import BraidWord
 from .errors import DomainError
 from .laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
 from .terms import BQPresentation, BQTerm, braid_act_down, braid_act_up, generator_names
-from .terms import linearize, linearize_relations, presentation_from_braid, switch_rules
+from .terms import linearize, linearize_relations, switch_rules
 
 _S_INV = LaurentPoly.monomial(1, -1, 0)
 _T_INV = LaurentPoly.monomial(1, 0, -1)
@@ -75,8 +76,8 @@ def _check_matrix_cells(rows: int, cols: int) -> None:
 
 def _linear_rows(names: list[str], rows: list[dict]) -> LaurentMatrix:
     """One matrix row per coefficient dict. Cells are shared objects (``ZERO``,
-    and ``linearize``'s ``ONE`` and ``OP_COEFFS`` entries), so no caller may
-    change a cell's terms in place."""
+    and ``linearize``'s ``ONE`` and ``OP_COEFFS`` entries): a caller may put a
+    new polynomial in a cell's slot, but may not change a cell's terms in place."""
     return LaurentMatrix([[coeffs.get(name, ZERO) for name in names] for coeffs in rows])
 
 
@@ -85,11 +86,6 @@ def _braid_matrix(w: BraidWord, braid_act) -> LaurentMatrix:
     names = generator_names(w.strands)
     image = braid_act(w, tuple(BQTerm.gen(name) for name in names))
     return _linear_rows(names, [linearize([(t, ONE)], OP_COEFFS) for t in image])
-
-
-def _relation_matrix(p: BQPresentation) -> LaurentMatrix:
-    _check_matrix_cells(len(p.relations), len(p.generators))
-    return _linear_rows(p.generators, linearize_relations(p.relations, ONE, OP_COEFFS))
 
 
 def braid_matrix_up(w: BraidWord) -> LaurentMatrix:
@@ -113,14 +109,18 @@ def braid_matrix_down(w: BraidWord) -> LaurentMatrix:
 
 
 def relation_matrix_from_braid(w: BraidWord) -> LaurentMatrix:
-    """Closure relations in matrix form: ``presentation_from_braid(w)`` linearized, lhs - rhs per row."""
-    _check_matrix_cells(w.strands, w.strands)
-    return _relation_matrix(presentation_from_braid(w))
+    """Closure relations in matrix form, M - I for M = ``braid_matrix_up(w)``:
+    closing the braid equates each strand's upward image with its generator."""
+    m = braid_matrix_up(w)
+    for i, row in enumerate(m.entries):
+        row[i] -= ONE
+    return m
 
 
 def relation_matrix_from_presentation(p: BQPresentation) -> LaurentMatrix:
-    """Linearize each relation over Z[s^±1, t^±1]; one row per relation."""
-    return _relation_matrix(p)
+    """Linearize each relation over Z[s^±1, t^±1], lhs - rhs; one row per relation."""
+    _check_matrix_cells(len(p.relations), len(p.generators))
+    return _linear_rows(p.generators, linearize_relations(p.relations, ONE, OP_COEFFS))
 
 
 def normalize_gap(p: LaurentPoly) -> LaurentPoly:

@@ -310,10 +310,10 @@ def eliminate_mod(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
     One pivot row serves the whole batch: where it has a zero, the first row
     below with a nonzero in the column is added to it, and a column that is
-    zero from the pivot row down in every matrix is skipped. Rows below are
-    multiplied by the pivot, not divided, so den collects those factors.
-    rank counts pivot rows (the rank of a batch of one); a square matrix's
-    determinant is num / den where rank is m, else 0. ``a`` is overwritten.
+    zero from the pivot row down in every matrix is skipped and sets num to
+    0. Rows below are multiplied by the pivot, not divided, so den collects
+    those factors. rank counts pivot rows (the rank of a batch of one); a
+    square matrix's determinant is num / den. ``a`` is overwritten.
     """
     p2, p3, p4 = p[:, None], p[:, None, None], p[:, None, None, None]
     num = np.ones((a.shape[0], a.shape[3]), dtype=np.int64)
@@ -322,6 +322,7 @@ def eliminate_mod(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     for k in range(a.shape[2]):
         nonzero = a[:, r:, k] != 0
         if not nonzero.any():
+            num[:] = 0
             continue
         first = nonzero.argmax(axis=1)
         if first.any():
@@ -392,9 +393,7 @@ def _grid_determinants(dense: np.ndarray, n: int, box_s: int, box_t: int, p: np.
         for s0 in range(0, box_s, step_s):
             ss = np.arange(s0, min(s0 + step_s, box_s))
             values = _matmul_mod(_powers(ss, deg_s, p)[:, None], at_t, p[:, None, None, None])
-            block_num, block_den, rank = eliminate_mod(values.reshape(count, n, n, -1), p)
-            if rank < n:
-                block_num[:] = 0
+            block_num, block_den, _ = eliminate_mod(values.reshape(count, n, n, -1), p)
             block = (count, len(ss), len(ts))
             num[:, s0 : s0 + len(ss), t0 : t0 + len(ts)] = block_num.reshape(block)
             den[:, s0 : s0 + len(ss), t0 : t0 + len(ts)] = block_den.reshape(block)

@@ -166,10 +166,16 @@ class TestRelationMatrices:
         assert m.rows == m.cols == 400
 
     def test_presentation_linearization_matches_braid(self):
-        for w in [random_braid(3, 7, seed) for seed in range(8)] + list(seeded_words(60)):
+        """M - I for M = braid_matrix_up(w) equals the linearized closure
+        presentation. An empty word's M is the identity, so M - I is zero."""
+        empty = [parse_braid_word("n=1;"), parse_braid_word("n=2;")]
+        words = [random_braid(3, 7, seed) for seed in range(8)] + list(seeded_words(60))
+        words += [chain_word(n, seed=n) for n in range(12, 21)] + [parse_braid_word("n=4; v1 v3 v2 v1")] + empty
+        for w in words:
             from_braid = relation_matrix_from_braid(w)
             from_pres = relation_matrix_from_presentation(presentation_from_braid(w))
             assert from_braid == from_pres
+        assert not any(cell for w in empty for row in relation_matrix_from_braid(w).entries for cell in row)
 
     def test_presentation_rows_follow_relation_order(self):
         pres = parse_presentation("gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n")

@@ -83,6 +83,17 @@ class TestGap:
         code, out, err = invoke(capsys, "gap", "--presentation", str(path))
         assert (code, out) == (0, "1 - s - t + s*t\n")
 
+    def test_braid_builds_no_presentation(self, capsys, monkeypatch):
+        """A braid's relation matrix is braid_matrix_up minus the identity,
+        for gap and for every invariance trial."""
+        built = []
+        init = BQPresentation.__post_init__
+        monkeypatch.setattr(BQPresentation, "__post_init__", lambda self: built.append(self) or init(self))
+        word = "n=3; s1 v2 -s1 v1"
+        assert invoke(capsys, "gap", "--braid", word)[0] == 0
+        assert invoke(capsys, "invariance", "--braid", word, "--trials", "3", "--seed", "0")[0] == 0
+        assert len(built) == 0
+
     def test_parse_error_exits_one(self, capsys):
         code, out, err = invoke(capsys, "gap", "--braid", "n=2; s9")
         assert code == 1 and out == ""
@@ -120,6 +131,7 @@ class TestGap:
             raise AssertionError("a row was linearized")
 
         monkeypatch.setattr(alexander, "linearize", never)
+        monkeypatch.setattr(alexander, "linearize_relations", never)
         if source == "braid":
             argv, size = ["--braid", "n=30000;"], 30000
         else:
@@ -377,12 +389,7 @@ def test_integer_flags_read_ascii_digits(capsys, flag, value):
 def test_file_that_is_not_utf8_exits_one(tmp_path, argv):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"gens a\nrel ur(a,a) = a # \xff\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "biquandles", *argv, str(path)],
-        capture_output=True,
-        text=True,
-        env=_CHILD_ENV,
-    )
+    proc, _ = _run_child(*argv, str(path))
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 25)\n"
 
@@ -510,22 +517,12 @@ class TestTopLevel:
         assert [invoke(capsys, *argv) for argv in argvs] == cached
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "biquandles", "gap", "--braid", "n=2; v1 s1"],
-            capture_output=True,
-            text=True,
-            env=_CHILD_ENV,
-        )
+        proc, _ = _run_child("gap", "--braid", "n=2; v1 s1")
         assert proc.returncode == 0
         assert proc.stdout == "1 - s - t + s*t\n"
 
     def test_module_entry_point_error_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "biquandles", "gap", "--braid", "n=2; s9"],
-            capture_output=True,
-            text=True,
-            env=_CHILD_ENV,
-        )
+        proc, _ = _run_child("gap", "--braid", "n=2; s9")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
@@ -539,12 +536,7 @@ class TestTopLevel:
         ],
     )
     def test_module_entry_point_refusal_is_one_error_line(self, argv, code):
-        proc = subprocess.run(
-            [sys.executable, "-m", "biquandles", *argv],
-            capture_output=True,
-            text=True,
-            env=_CHILD_ENV,
-        )
+        proc, _ = _run_child(*argv)
         assert (proc.returncode, proc.stdout) == (code, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
@@ -573,9 +565,9 @@ class TestStrandCountRefusals:
     )
     def test_wide_matrix_refused_before_any_term(self, capsys, monkeypatch, argv):
         def never(*args):
-            raise AssertionError("a presentation was built")
+            raise AssertionError("a strand's generator was named")
 
-        monkeypatch.setattr(alexander, "presentation_from_braid", never)
+        monkeypatch.setattr(alexander, "generator_names", never)
         start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
         assert time.perf_counter() - start < 0.5

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -367,6 +368,15 @@ class TestModularDeterminant:
             ]
             m = LaurentMatrix(rows)
             assert determinant(m) == bareiss_determinant(m), k
+
+    def test_column_without_a_pivot_zeroes_the_batch(self):
+        """Column 0 is zero in all three members: each determinant is 0,
+        whatever column 1 holds, and only column 1 takes a pivot row."""
+        a = np.zeros((1, 2, 2, 3), dtype=np.int64)
+        a[0, :, 1] = [[3, 5, 7], [2, 4, 6]]
+        num, den, rank = laurent.eliminate_mod(a, np.array([11], dtype=np.int64))
+        assert num.tolist() == [[0, 0, 0]]
+        assert rank == 1
 
     def test_high_t_degree_splits_inner_products(self):
         """A t-degree far above _MAX_INNER: one unsplit int64 product sum
