@@ -50,9 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_file(path: str) -> str:
+    """The UTF-8 text of an input file of at most MAX_PRESENT_BYTES bytes,
+    the most ``present`` prints."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_PRESENT_BYTES + 1)
+        if len(data) > MAX_PRESENT_BYTES:
+            raise DomainError(f"input file {path} is above the limit of 2^26 bytes")
+        return data.decode("utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:

@@ -482,12 +482,14 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        are the diagonal blocks of a block-triangular form of the matrix,
        and det M is the sign of the matching permutation times the product
        of the blocks' determinants (the sign of the row order times that of
-       the column order). Every matrix takes this one path: blocks are taken
-       smallest first, a 1 x 1 block's determinant is its entry, every
-       larger block runs steps 1-5, and a zero block ends the product. The
-       empty matrix has no blocks; its determinant is the empty product,
-       the constant 1. Matching and components take O(n * cells) time at
-       worst, where cells counts the nonzero terms.
+       the column order), which is (-1)^(n - c) for the c cycles of the
+       matching, the strong components of j -> owner[j]. Every matrix takes
+       this one path: blocks are read from the matrix smallest first, a
+       1 x 1 block's determinant is its entry, larger blocks run steps 1-5,
+       and a zero block ends the product. The empty matrix's determinant is
+       the empty product, 1. Matching and components take O(n * cells) time
+       at worst, cells the nonzero entries; reading blocks of sizes k takes
+       O(sum of k^2) <= n^2, no more than reading the dense matrix once.
     1. Each row, then each column, is divided by the largest monomial that
        divides it, so every entry is a polynomial. When every s-exponent
        is a multiple of some g > 1, they are divided by g and the result's
@@ -526,60 +528,32 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
     """
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    cells = [
-        (i, j, es, et, c)
-        for i, row in enumerate(m.entries)
-        for j, poly in enumerate(row)
-        for (es, et), c in poly.terms.items()
-    ]
-    pattern = [set() for _ in range(n)]
-    for cell in cells:
-        pattern[cell[0]].add(cell[1])
+    pattern = [{j for j, poly in enumerate(row) if poly} for row in m.entries]
     owner = _perfect_matching(pattern)
     if owner is None:
         return LaurentPoly()
-    blocks = _strong_components([pattern[i] for i in owner])
-    # Each column's block and its place there. A row takes the block and
-    # place of its matched column, so every block's matched entries lie on
-    # its diagonal.
-    block_of, place, matched = [0] * n, [0] * n, [0] * n
-    for b, columns in enumerate(blocks):
-        for k, j in enumerate(columns):
-            block_of[j], place[j] = b, k
-    for j, i in enumerate(owner):
-        matched[i] = j
-    block_cells = [[] for _ in blocks]
-    for i, j, es, et, c in cells:
-        k = matched[i]
-        if block_of[k] == block_of[j]:
-            block_cells[block_of[j]].append((place[k], place[j], es, et, c))
-    # The sign of owner: a cycle of length L is L - 1 transpositions.
-    sign, seen = 1, [False] * n
-    for j in range(n):
-        k = owner[j]
-        seen[j] = True
-        while not seen[k]:
-            seen[k] = True
-            sign = -sign
-            k = owner[k]
-    det = LaurentPoly.const(sign)
-    for b in sorted(range(len(blocks)), key=lambda b: len(blocks[b])):
-        if len(blocks[b]) == 1:  # the block's one entry is its determinant
-            part = LaurentPoly({(es, et): c for _, _, es, et, c in block_cells[b]})
-        else:
-            part = _cells_determinant(block_cells[b], len(blocks[b]))
+    det = LaurentPoly.const((-1) ** (m.rows - len(_strong_components([[i] for i in owner]))))
+    for columns in sorted(_strong_components([pattern[i] for i in owner]), key=len):
+        # Row owner[k] takes column k's place: matched entries lie on the diagonal.
+        block = [[m.entries[owner[k]][j] for j in columns] for k in columns]
+        part = block[0][0] if len(block) == 1 else _block_determinant(block)
         if not part:
             return part
         det = det * part
     return det
 
 
-def _cells_determinant(cells: list[tuple[int, int, int, int, int]], n: int) -> LaurentPoly:
-    """Steps 1-5 of ``determinant``, called once per diagonal block: the n x n
-    matrix whose nonzero terms are the cells (row, column, s-exponent, t-exponent,
-    coefficient). Matched entries lie on its diagonal, so every line has a cell."""
-    rows, cols, exp_s, exp_t, coeffs = zip(*cells)
+def _block_determinant(block: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Steps 1-5 of ``determinant`` on an n x n diagonal block, n > 1, whose
+    matched entries lie on its diagonal, so every line has a term. First the
+    terms are flattened into (row, column, s-exp, t-exp, coefficient) columns."""
+    rows, cols, exp_s, exp_t, coeffs = zip(*(
+        (i, j, es, et, c)
+        for i, row in enumerate(block)
+        for j, poly in enumerate(row)
+        for (es, et), c in poly.terms.items()
+    ))
+    n = len(block)
     row_norms, col_norms = [0] * n, [0] * n
     for i, j, c in zip(rows, cols, coeffs):
         row_norms[i] += abs(c)

@@ -296,11 +296,16 @@ class TestAxioms:
         assert err == f"error: carrier size {size} exceeds the limit of 625 elements\n"
 
 
-def _run_child(*argv):
+def _run_child(*argv, preexec_fn=None):
     """Run ``python -m biquandles`` on argv; return the process and its wall time."""
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "biquandles", *argv], capture_output=True, text=True, env=_CHILD_ENV, timeout=60
+        [sys.executable, "-m", "biquandles", *argv],
+        capture_output=True,
+        text=True,
+        env=_CHILD_ENV,
+        timeout=60,
+        preexec_fn=preexec_fn,
     )
     return proc, time.perf_counter() - start
 
@@ -383,15 +388,46 @@ def test_integer_flags_read_ascii_digits(capsys, flag, value):
     assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
 
 
-@pytest.mark.parametrize(
-    "argv", [["gap", "--presentation"], ["qcheck", "--presentation"], ["axioms", "--tables"]]
-)
+_FILE_ARGVS = [["gap", "--presentation"], ["qcheck", "--presentation"], ["axioms", "--tables"]]
+
+
+@pytest.mark.parametrize("argv", _FILE_ARGVS)
 def test_file_that_is_not_utf8_exits_one(tmp_path, argv):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"gens a\nrel ur(a,a) = a # \xff\n")
     proc, _ = _run_child(*argv, str(path))
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 25)\n"
+
+
+def _limit_memory_to_1_gb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", _FILE_ARGVS)
+class TestInputFileCap:
+    """An input file is read up to 2^26 bytes and refused above, before it
+    is parsed: /dev/zero grew until memory ran out."""
+
+    @pytest.fixture(scope="class")
+    def long_file(self, tmp_path_factory):
+        """A valid presentation followed by 2^26 bytes of '#'."""
+        path = tmp_path_factory.mktemp("long") / "long.txt"
+        path.write_bytes(b"gens a\nrel ur(a,a) = a\n" + b"#" * cli.MAX_PRESENT_BYTES)
+        return path
+
+    def test_valid_text_followed_by_a_long_comment_is_refused(self, long_file, argv):
+        proc, _ = _run_child(*argv, str(long_file))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: input file {long_file} is above the limit of 2^26 bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_is_refused_in_bounded_memory(self, argv):
+        proc, _ = _run_child(*argv, "/dev/zero", preexec_fn=_limit_memory_to_1_gb)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: input file /dev/zero is above the limit of 2^26 bytes\n"
 
 
 LONG = "9" * 5000

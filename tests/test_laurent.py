@@ -407,6 +407,76 @@ def block_triangular(rng, sizes):
     return rows
 
 
+def diagonal_monomials(rng, n):
+    """An n x n diagonal matrix of random monomials."""
+    entries = [LaurentPoly.monomial(rng.choice((-2, -1, 1, 3)), rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+    return [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def partitions(n, largest=None):
+    """Every partition of n into parts of at most ``largest``, largest first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def with_cycle_type(rows, lengths, rng):
+    """The diagonal rows with their rows and columns shuffled so that the
+    row holding column j's entry is sigma[j], for a permutation sigma whose
+    cycles have the given lengths."""
+    starts = itertools.accumulate(lengths, initial=0)
+    sigma = [start + (k + 1) % length for start, length in zip(starts, lengths) for k in range(length)]
+    col_order = rng.sample(range(len(rows)), len(rows))
+    row_order = [0] * len(rows)
+    for j, i in enumerate(sigma):
+        row_order[i] = col_order[j]
+    return LaurentMatrix([[rows[i][j] for j in col_order] for i in row_order])
+
+
+class TestGraphHelpers:
+    """``_perfect_matching`` and ``_strong_components`` give ``determinant``
+    its matching, its diagonal blocks and the matching's cycles."""
+
+    def test_strong_components_are_mutual_reachability(self):
+        rng = random.Random(8)
+        for trial in range(200):
+            n = rng.randint(0, 8)
+            edges = [[w for w in range(n) if rng.random() < 0.25] for _ in range(n)]
+            reach = [[v == w or w in edges[v] for w in range(n)] for v in range(n)]
+            for k, v, w in itertools.product(range(n), repeat=3):
+                reach[v][w] = reach[v][w] or (reach[v][k] and reach[k][w])
+            components = laurent._strong_components(edges)
+            assert sorted(v for c in components for v in c) == list(range(n)), trial
+            component_of = {v: b for b, c in enumerate(components) for v in c}
+            for v, w in itertools.product(range(n), repeat=2):
+                same = component_of[v] == component_of[w]
+                assert same == (reach[v][w] and reach[w][v]), trial
+
+    def test_perfect_matching_exists_exactly_when_a_permutation_fits(self):
+        rng = random.Random(9)
+        for trial in range(300):
+            n = rng.randint(0, 6)
+            pattern = [{j for j in range(n) if rng.random() < 0.35} for _ in range(n)]
+            fits = any(all(sigma[i] in pattern[i] for i in range(n)) for sigma in itertools.permutations(range(n)))
+            owner = laurent._perfect_matching(pattern)
+            assert (owner is not None) == fits, trial
+            if owner is not None:
+                assert sorted(owner) == list(range(n)), trial
+                assert all(j in pattern[i] for j, i in enumerate(owner)), trial
+
+    def test_long_paths_need_no_recursion(self):
+        """5000 nodes deep, well past the recursion limit of 1000."""
+        n = 5000
+        path = [[v + 1] for v in range(n - 1)] + [[]]
+        assert laurent._strong_components(path) == [[v] for v in reversed(range(n))]
+        assert len(laurent._strong_components(path[:-1] + [[0]])) == 1
+        # Row n - 1 needs column 0, so one augmenting path moves every row.
+        staircase = [{i, i + 1} for i in range(n - 1)] + [{0}]
+        assert laurent._perfect_matching(staircase) == [n - 1] + list(range(n - 1))
+
+
 class TestBlockSplit:
     """``determinant`` splits a matrix into the diagonal blocks of its block
     triangular form and multiplies their determinants."""
@@ -432,6 +502,16 @@ class TestBlockSplit:
             assert determinant(m) == bareiss_determinant(m) == cofactor_determinant(m), trial
             # A 1 x 1 block is read off as its entry, with no grid.
             assert sorted(grid_sizes) == sorted(n for n in sizes if n > 1), trial
+        # Permuted diagonal matrices of monomials: every block is 1 x 1, so
+        # no grid is evaluated, and the matching takes every cycle type up to 9.
+        for n in range(1, 10):
+            for lengths in partitions(n):
+                m = with_cycle_type(diagonal_monomials(rng, n), lengths, rng)
+                grid_sizes.clear()
+                det = determinant(m)
+                assert det == bareiss_determinant(m), lengths
+                assert n > 6 or det == cofactor_determinant(m), lengths
+                assert grid_sizes == [], lengths
 
     def test_structural_zero_needs_no_grid(self, monkeypatch):
         def never(*args):

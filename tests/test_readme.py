@@ -5,15 +5,18 @@ up to a blank line, the next command or the fence, are its stdout. A ``...``
 line stands for any run of lines.
 """
 
+import ast
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 from biquandles.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _examples():
@@ -59,3 +62,21 @@ def test_readme_python_example(capsys):
     (polynomial,) = re.findall(r"print\(gap_text\(word\)\)  # (.+)", block)
     presentation = dict(EXAMPLES)['biq present --braid "n=2; v1 s1"']
     assert capsys.readouterr().out == "\n".join(presentation) + "\n\n" + polynomial + "\n"
+
+
+def test_only_runtime_dependency_is_numpy():
+    """The README says numpy is the one runtime dependency: every absolute
+    import in the package is the standard library or numpy, and the
+    project metadata lists numpy alone."""
+    for path in sorted((ROOT / "src" / "biquandles").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
+    assert 'dependencies = ["numpy>=1.24"]' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
