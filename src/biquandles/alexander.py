@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .braids import BraidWord
 from .errors import DomainError
-from .laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
+from .laurent import MAX_MATRIX_CELLS, ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
 from .terms import BQPresentation, BQTerm, braid_act_down, braid_act_up, generator_names
 from .terms import linearize, linearize_relations, switch_rules
 
@@ -60,12 +60,6 @@ def block_at(m2: LaurentMatrix, n: int, start: int) -> LaurentMatrix:
 
 
 OP_COEFFS = switch_rules(_CROSSING_MATRICES["A"], _CROSSING_MATRICES["B"])
-
-
-# The most cells a braid or relation matrix may have (n <= 4096 when square).
-# The matrix is dense, one list slot per cell, so it is refused before the
-# first row is linearized, and a braid's before its first term is built.
-MAX_MATRIX_CELLS = 1 << 24
 
 
 def _check_matrix_cells(rows: int, cols: int) -> None:

@@ -1,4 +1,5 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the readers of numbers and
+content lines that the parsers share.
 
 ParseError covers malformed input text (braid words, presentation files, table
 files, command lines). DomainError covers well-formed input that violates a
@@ -23,3 +24,10 @@ def read_decimal(digits: str, what: str) -> int:
         return int(digits)
     except ValueError:
         raise ParseError(f"{what} has {len(digits)} digits, too many to read") from None
+
+
+def content_lines(text: str):
+    """(line number, text) of each line left nonempty once its ``#`` comment and outer blanks are cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line

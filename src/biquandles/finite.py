@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from .alexander import OP_COEFFS as ALEXANDER_COEFFS
-from .errors import DomainError, ParseError, read_decimal
+from .errors import DomainError, ParseError, content_lines, read_decimal
 from .laurent import check_modulus_bound, is_prime
 from .quaternion import OP_COEFFS as QUATERNION_COEFFS, Quaternion, left_matrix
 from .terms import OPS
@@ -262,12 +262,25 @@ def finite_quaternionic_biquandle(p: int) -> FiniteBiquandle:
     return _linear_biquandle(p, maps, labels)
 
 
+def _table_row(op: str, line: str, m: int) -> list[int]:
+    """One row of op's table: m unsigned ASCII decimals, each below m."""
+    entries = line.split()
+    if len(entries) != m:
+        raise ParseError(f"{op} table row has {len(entries)} entries, expected {m}")
+    try:  # int() also reads signs, underscores and other scripts' digits
+        if not ((digits := "".join(entries)).isascii() and digits.isdecimal()):
+            raise ValueError
+        row = list(map(int, entries))
+    except ValueError:  # also an entry with more digits than int reads
+        raise ParseError(f"non-integer entry in {op} table row {line!r}") from None
+    if max(row) >= m:  # unsigned decimals, so no entry is below 0
+        v = next(v for v in row if v >= m)
+        raise ParseError(f"{op} table entry {v} out of range 0..{m - 1}")
+    return row
+
+
 def parse_table_file(text: str) -> FiniteBiquandle:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [line for _, line in content_lines(text)]
     if not lines or lines[0].split()[0] != "size":
         raise ParseError("table file must start with 'size <m>'")
     parts = lines[0].split()
@@ -277,36 +290,16 @@ def parse_table_file(text: str) -> FiniteBiquandle:
     if m < 1:
         raise ParseError(f"carrier size must be >= 1, got {m}")
     check_carrier_size(m, force=True)
-    pos = 1
     tables = {}
-    while pos < len(lines):
-        op = lines[pos]
+    for start in range(1, len(lines), m + 1):
+        op = lines[start]
         if op not in OPS:
             raise ParseError(f"expected an operation name (ur, lr, ul, ll), got {op!r}")
         if op in tables:
             raise ParseError(f"duplicate table for {op}")
-        pos += 1
-        rows = []
-        for _ in range(m):
-            if pos >= len(lines):
-                raise ParseError(f"{op} table is missing rows (need {m})")
-            entries = lines[pos].split()
-            if len(entries) != m:
-                raise ParseError(
-                    f"{op} table row has {len(entries)} entries, expected {m}"
-                )
-            try:  # int() also reads signs, underscores and other scripts' digits
-                if not ((digits := "".join(entries)).isascii() and digits.isdecimal()):
-                    raise ValueError
-                row = list(map(int, entries))
-            except ValueError:  # also an entry with more digits than int reads
-                raise ParseError(f"non-integer entry in {op} table row {lines[pos]!r}") from None
-            if max(row) >= m:  # unsigned decimals, so no entry is below 0
-                v = next(v for v in row if v >= m)
-                raise ParseError(f"{op} table entry {v} out of range 0..{m - 1}")
-            rows.append(row)
-            pos += 1
-        tables[op] = rows
+        tables[op] = [_table_row(op, line, m) for line in lines[start + 1 : start + 1 + m]]
+        if len(tables[op]) < m:
+            raise ParseError(f"{op} table is missing rows (need {m})")
     missing = [op for op in OPS if op not in tables]
     if missing:
         raise ParseError(f"missing operation tables: {', '.join(missing)}")

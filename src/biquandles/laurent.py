@@ -235,15 +235,17 @@ _PRIME_BITS = 26
 _MAX_INNER = 1 << (63 - 2 * _PRIME_BITS)
 # Below this modulus eliminate_mod's products of residues, and their differences, are exact in int64.
 MODULUS_LIMIT = 1 << 31
+# The most cells of a braid or relation matrix (n <= 4096 when square), refused
+# before its first row or term is built, and of a determinant block's dense
+# coefficient array, refused before it is allocated.
+MAX_MATRIX_CELLS = 1 << 24
 # The most int64 elements one block of the evaluation grid puts in one array;
 # a block shrinks to one grid point, never further.
 _BLOCK_ELEMENTS = 1 << 14
 # The maps (i, j) -> (i - k*j, j - l*i) of exponent pairs, one per (k, l). Each
 # has determinant 1, so it is a ring automorphism of Z[s^-1, s, t^-1, t] and
-# commutes with the determinant. Rows 2m and 2m + 1 of _MAP_ROWS give the s-
-# and t-exponent under map m.
+# commutes with the determinant; _block_determinant stacks their 2 x 2 matrices.
 _MAPS = ((0, 0), (1, 0), (0, 1))
-_MAP_ROWS = np.array([row for k, l in _MAPS for row in ((1, -k), (-l, 1))], dtype=np.int64)
 
 
 def is_prime(n: int) -> bool:
@@ -524,7 +526,9 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
     is used. Per block of size n, time grows as the number of primes times
     (Ds+1)(Dt+1) times n^3 + Ds + Dt, memory as the number of primes times
     (Ds+1)(Dt+1), with Ds and Dt the box of the block's kept map, after the
-    division by g and h.
+    division by g and h. A box side is at most n times the side of the dense
+    array (primes x n^2 x the entries' s- and t-degrees + 1), so a block's
+    memory is a small multiple of it, capped at MAX_MATRIX_CELLS = 2^24 cells.
     """
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
@@ -560,7 +564,8 @@ def _block_determinant(block: list[list[LaurentPoly]]) -> LaurentPoly:
         col_norms[j] += abs(c)
     bound = min(prod(row_norms), prod(col_norms))
     rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    exp = _MAP_ROWS @ np.array((exp_s, exp_t), dtype=np.int64)
+    maps = np.array([row for k, l in _MAPS for row in ((1, -k), (-l, 1))], dtype=np.int64)
+    exp = maps @ np.array((exp_s, exp_t), dtype=np.int64)
     shift = np.zeros(len(exp), dtype=np.int64)
     for line in (rows, cols):
         low = np.full((n, len(exp)), exp.max())
@@ -585,7 +590,12 @@ def _block_determinant(block: list[list[LaurentPoly]]) -> LaurentPoly:
     while modulus <= 2 * bound:
         primes.append(_prime(len(primes)))
         modulus *= primes[-1]
-    dense = np.zeros((len(primes), n * n, int(exp_s.max()) + 1, int(exp_t.max()) + 1), dtype=np.int64)
+    # A box side is at most n times the array's side, so no later array of the block is larger.
+    shape = (len(primes), n * n, int(exp_s.max()) + 1, int(exp_t.max()) + 1)
+    if (cells := prod(shape)) > MAX_MATRIX_CELLS:
+        shape_text = "x".join(map(str, shape))
+        raise DomainError(f"determinant block would have {shape_text} = {cells} cells, above the limit of 2^24")
+    dense = np.zeros(shape, dtype=np.int64)
     for r, q in enumerate(primes):
         dense[r, rows * n + cols, exp_s, exp_t] = [c % q for c in coeffs]
     grid = _grid_determinants(dense, n, box_s, box_t, np.array(primes, dtype=np.int64))
@@ -651,8 +661,6 @@ def bareiss_determinant(m: LaurentMatrix) -> LaurentPoly:
     if sign < 0:
         det = -det
     return det.scale_by_monomial(shift_i, shift_j)
-
-
 
 
 def cofactor_determinant(m: LaurentMatrix) -> LaurentPoly:

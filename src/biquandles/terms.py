@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .braids import BraidWord, invert_braid
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, content_lines
 
 OPS = ("ur", "lr", "ul", "ll")
 
@@ -244,10 +244,7 @@ def parse_presentation(text: str) -> BQPresentation:
     generators: list[str] | None = None
     relations: list[BQRelation] = []
     memo: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         keyword = line.split(None, 1)[0]
         rest = line[len(keyword) :]
         if keyword == "gens":

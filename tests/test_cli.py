@@ -430,6 +430,22 @@ class TestInputFileCap:
         assert proc.stderr == "error: input file /dev/zero is above the limit of 2^26 bytes\n"
 
 
+class TestDeterminantBlockCap:
+    """A determinant block whose dense coefficient array would pass 2^24
+    cells is refused before it is allocated: numpy's allocation failure
+    ended in a traceback with exit 1."""
+
+    @pytest.mark.parametrize(
+        "n, letter, shape, cells",
+        [(300, "s", "12x90000x299x1", 322920000), (1500, "v", "58x2250000x1x1", 130500000)],
+    )
+    def test_block_above_the_cap_exits_two(self, n, letter, shape, cells):
+        word = f"n={n}; " + " ".join(f"{letter}{i}" for i in range(1, n))
+        proc, _ = _run_child("gap", "--braid", word, preexec_fn=_limit_memory_to_1_gb)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: determinant block would have {shape} = {cells} cells, above the limit of 2^24\n"
+
+
 LONG = "9" * 5000
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biquandles import laurent
+from biquandles import alexander, laurent
 from biquandles.alexander import relation_matrix_from_braid, relation_matrix_from_presentation
 from biquandles.braids import random_braid
+from biquandles.errors import DomainError
 from biquandles.laurent import (
     ONE,
     S,
@@ -486,9 +487,11 @@ class TestBlockSplit:
         sizes = []
         grid = laurent._grid_determinants
 
-        def recording(dense, n, *args):
+        def recording(dense, n, box_s, box_t, p):
+            # The one cap on dense also bounds the grid and everything after it.
+            assert len(p) * box_s * box_t <= dense.size
             sizes.append(n)
-            return grid(dense, n, *args)
+            return grid(dense, n, box_s, box_t, p)
 
         monkeypatch.setattr(laurent, "_grid_determinants", recording)
         return sizes
@@ -539,6 +542,42 @@ class TestBlockSplit:
         assert grid_sizes == [2]
 
 
+class TestBlockCap:
+    """A block's dense coefficient array, primes x n^2 x (s-degree + 1) x
+    (t-degree + 1), may have at most MAX_MATRIX_CELLS cells; a larger one is
+    refused before it is allocated and before any grid is evaluated."""
+
+    m = LaurentMatrix([[ONE + S, T], [S * T, ONE - T]])
+    shape = (1, 4, 2, 2)
+
+    def test_block_at_the_cap_is_evaluated(self, monkeypatch):
+        shapes = []
+        grid = laurent._grid_determinants
+
+        def recording(dense, *args):
+            shapes.append(dense.shape)
+            return grid(dense, *args)
+
+        monkeypatch.setattr(laurent, "_grid_determinants", recording)
+        monkeypatch.setattr(laurent, "MAX_MATRIX_CELLS", 16)
+        assert determinant(self.m) == bareiss_determinant(self.m)
+        assert shapes == [self.shape]
+
+    def test_block_one_cell_above_the_cap_is_refused(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a grid was evaluated")
+
+        monkeypatch.setattr(laurent, "_grid_determinants", never)
+        monkeypatch.setattr(laurent, "MAX_MATRIX_CELLS", 15)
+        message = "determinant block would have 1x4x2x2 = 16 cells, above the limit of 2^24"
+        with pytest.raises(DomainError) as refusal:
+            determinant(self.m)
+        assert str(refusal.value) == message
+
+    def test_one_constant_caps_matrices_and_blocks(self):
+        assert alexander.MAX_MATRIX_CELLS is laurent.MAX_MATRIX_CELLS
+
+
 def band_matrix(rng, n):
     """An n x n matrix whose entries on the band |i - j| <= 1 each sum one to
     three terms drawn from 1 - st, s, t, (st)^k, s^-1 t^-1 and the sparse
@@ -573,6 +612,7 @@ class TestExponentMaps:
         grid = laurent._grid_determinants
 
         def recording(dense, n, box_s, box_t, p):
+            assert len(p) * box_s * box_t <= dense.size
             out.append((box_s, box_t))
             return grid(dense, n, box_s, box_t, p)
 
@@ -588,7 +628,6 @@ class TestExponentMaps:
         for index in range(len(laurent._MAPS)):
             with monkeypatch.context() as only:
                 only.setattr(laurent, "_MAPS", (laurent._MAPS[index],))
-                only.setattr(laurent, "_MAP_ROWS", laurent._MAP_ROWS[2 * index : 2 * index + 2])
                 boxes.clear()
                 assert determinant(m) == expected
                 by_map.append(list(boxes))

@@ -80,3 +80,19 @@ def test_only_runtime_dependency_is_numpy():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
     assert 'dependencies = ["numpy>=1.24"]' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+
+
+def test_readme_names_every_refusal_cap():
+    """Every module-level cap, a name matching ``MAX_*`` or ``*_LIMIT``, is
+    named in the README as ``module.NAME``."""
+    caps = []
+    for path in sorted((ROOT / "src" / "biquandles").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and re.fullmatch(r"MAX_\w+|\w+_LIMIT", target.id):
+                    caps.append(f"`{path.stem}.{target.id}`")
+    assert "`laurent.MAX_MATRIX_CELLS`" in caps and "`cli.MAX_PRESENT_BYTES`" in caps
+    text = README.read_text(encoding="utf-8")
+    assert [cap for cap in caps if cap not in text] == []
