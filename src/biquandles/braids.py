@@ -148,15 +148,13 @@ def _match_relator(family: str, window: tuple[BraidLetter, ...], direction: int)
         step = b.index - a.index
         same_kind = a.virtual == b.virtual == (family == "virtual") and a.exponent == b.exponent
         return (b, a, b) if a == c and same_kind and abs(step) == 1 and step * direction > 0 else None
-    if family == "mixed":
-        if direction > 0:
-            # s_i^e v_{i+1} v_i  ->  v_{i+1} v_i s_{i+1}^e
-            match = not a.virtual and b.virtual and c.virtual and b.index - 1 == a.index == c.index
-            return (b, c, sigma(b.index, a.exponent)) if match else None
-        # v_{i+1} v_i s_{i+1}^e  ->  s_i^e v_{i+1} v_i
-        match = a.virtual and b.virtual and not c.virtual and b.index + 1 == a.index == c.index
-        return (sigma(b.index, c.exponent), a, b) if match else None
-    raise ValueError(f"unknown relator family {family!r}")
+    if direction > 0:
+        # mixed: s_i^e v_{i+1} v_i  ->  v_{i+1} v_i s_{i+1}^e
+        match = not a.virtual and b.virtual and c.virtual and b.index - 1 == a.index == c.index
+        return (b, c, sigma(b.index, a.exponent)) if match else None
+    # mixed: v_{i+1} v_i s_{i+1}^e  ->  s_i^e v_{i+1} v_i
+    match = a.virtual and b.virtual and not c.virtual and b.index + 1 == a.index == c.index
+    return (sigma(b.index, c.exponent), a, b) if match else None
 
 
 def _window_size(family: str) -> int:

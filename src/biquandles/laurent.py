@@ -406,29 +406,25 @@ def _perfect_matching(pattern: list[set[int]]) -> list[int] | None:
     """owner[j], the row matched to column j, for a perfect matching of rows
     to the columns in ``pattern[row]``; None when there is none.
 
-    Kuhn's augmenting paths, each searched depth first with an explicit
-    stack, so a long path needs no recursion.
+    Kuhn's augmenting paths, each searched breadth first, so a long path
+    needs no recursion: via[j] is the row that reached column j, held[i]
+    the column that row i holds (-1 for the root).
     """
     owner = [-1] * len(pattern)
     for root in range(len(pattern)):
-        seen = set()
-        rows, cols, its = [root], [], [iter(pattern[root])]
-        while its:
-            j = next((j for j in its[-1] if j not in seen), None)
-            if j is None:
-                its.pop()
-                rows.pop()
-                if cols:
-                    cols.pop()
-                continue
-            seen.add(j)
-            cols.append(j)
-            if owner[j] < 0:
-                for i, k in zip(rows, cols):
-                    owner[k] = i
+        via, held, rows = {}, {root: -1}, [root]
+        for i in rows:
+            j = next((j for j in pattern[i] if owner[j] < 0), None)
+            if j is not None:
+                via[j] = i
+                while j >= 0:
+                    owner[j], j = via[j], held[via[j]]
                 break
-            rows.append(owner[j])
-            its.append(iter(pattern[owner[j]]))
+            for j in pattern[i]:
+                if j not in via:
+                    via[j] = i
+                    held[owner[j]] = j
+                    rows.append(owner[j])
         else:
             return None
     return owner
@@ -489,9 +485,12 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        this one path: blocks are read from the matrix smallest first, a
        1 x 1 block's determinant is its entry, larger blocks run steps 1-5,
        and a zero block ends the product. The empty matrix's determinant is
-       the empty product, 1. Matching and components take O(n * cells) time
-       at worst, cells the nonzero entries; reading blocks of sizes k takes
-       O(sum of k^2) <= n^2, no more than reading the dense matrix once.
+       the empty product, 1. The matching is breadth first: a row's free
+       column is taken before any row behind an owned column is entered.
+       Matching and components take O(n * cells) time at worst, cells the
+       nonzero entries, and a chain word's matrix is matched in time linear
+       in its nonzeros; reading blocks of sizes k takes O(sum of k^2) <= n^2,
+       no more than reading the dense matrix once.
     1. Each row, then each column, is divided by the largest monomial that
        divides it, so every entry is a polynomial. When every s-exponent
        is a multiple of some g > 1, they are divided by g and the result's

@@ -477,6 +477,25 @@ class TestGraphHelpers:
         staircase = [{i, i + 1} for i in range(n - 1)] + [{0}]
         assert laurent._perfect_matching(staircase) == [n - 1] + list(range(n - 1))
 
+    def test_chain_pattern_is_matched_in_linear_reads(self):
+        """The pattern of the relation matrix of n=N; s1 ... s(N-1): a row's
+        free column is taken before the rows behind its owned columns are
+        read, so the columns read stay within twice the nonzeros."""
+        reads = 0
+
+        class CountingRow(set):
+            def __iter__(self):
+                nonlocal reads
+                for j in super().__iter__():
+                    reads += 1
+                    yield j
+
+        n = 1000
+        rows = [{0, 1}] + [{0, i, i + 1} for i in range(1, n - 1)] + [{0, n - 1}]
+        pattern = [CountingRow(row) for row in rows]
+        assert laurent._perfect_matching(pattern) is not None
+        assert reads <= 2 * sum(map(len, rows))
+
 
 class TestBlockSplit:
     """``determinant`` splits a matrix into the diagonal blocks of its block

@@ -585,6 +585,8 @@ class TestRenamingEquivalence:
         p = parse_presentation("gens a b\nrel ur(a,b) = a\n")
         q = parse_presentation("gens a b c\nrel ur(a,b) = a\n")
         assert not presentations_equal_up_to_renaming(p, q)
+        q = parse_presentation("gens a b\nrel ur(a,b) = a\nrel lr(a,b) = b\n")
+        assert not presentations_equal_up_to_renaming(p, q)
 
     def test_too_many_generators_guarded(self):
         names = [f"g{i}" for i in range(1, 10)]
