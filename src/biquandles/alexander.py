@@ -2,11 +2,11 @@
 
 Crossings act linearly on strand labels over the Laurent ring Z[s^±1, t^±1];
 the determinant of the resulting relation matrix, normalized up to units, is
-an invariant of the braid closure. Every matrix is ``terms.linearize`` with
-``OP_COEFFS`` applied to terms: relations, or a braid's term images under
-``braid_act_up``/``braid_act_down`` (the one upward fold), so the term
-morphisms state each crossing. A braid closure's relation matrix is M - I
-for M = ``braid_matrix_up(w)``.
+an invariant of the braid closure. A presentation's rows are
+``terms.linearize_relations`` with ``OP_COEFFS``. A braid's matrix rows are the
+unit rows folded through the word by ``braid_act_up``/``braid_act_down`` with
+``linear_node(OP_COEFFS)``, so the crossing morphisms state each crossing, and
+its closure's relation matrix is M - I for M = ``braid_matrix_up(w)``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from .braids import BraidWord
 from .errors import DomainError
 from .laurent import MAX_MATRIX_CELLS, ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
-from .terms import BQPresentation, BQTerm, braid_act_down, braid_act_up, generator_names
-from .terms import linearize, linearize_relations, switch_rules
+from .terms import BQPresentation, braid_act_down, braid_act_up, generator_names
+from .terms import linear_node, linearize_relations, switch_rules
 
 _S_INV = LaurentPoly.monomial(1, -1, 0)
 _T_INV = LaurentPoly.monomial(1, 0, -1)
@@ -69,17 +69,16 @@ def _check_matrix_cells(rows: int, cols: int) -> None:
 
 
 def _linear_rows(names: list[str], rows: list[dict]) -> LaurentMatrix:
-    """One matrix row per coefficient dict. Cells are shared objects (``ZERO``,
-    and ``linearize``'s ``ONE`` and ``OP_COEFFS`` entries): a caller may put a
-    new polynomial in a cell's slot, but may not change a cell's terms in place."""
+    """One matrix row per coefficient dict. Cells may be shared objects (``ZERO``,
+    ``ONE`` and ``linearize``'s ``OP_COEFFS`` entries): a caller may put a new
+    polynomial in a cell's slot, but may not change a cell's terms in place."""
     return LaurentMatrix([[coeffs.get(name, ZERO) for name in names] for coeffs in rows])
 
 
 def _braid_matrix(w: BraidWord, braid_act) -> LaurentMatrix:
     _check_matrix_cells(w.strands, w.strands)
     names = generator_names(w.strands)
-    image = braid_act(w, tuple(BQTerm.gen(name) for name in names))
-    return _linear_rows(names, [linearize([(t, ONE)], OP_COEFFS) for t in image])
+    return _linear_rows(names, braid_act(w, tuple({g: ONE} for g in names), linear_node(OP_COEFFS)))
 
 
 def braid_matrix_up(w: BraidWord) -> LaurentMatrix:

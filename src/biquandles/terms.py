@@ -3,10 +3,10 @@
 A term is either a generator or one of the four binary operations ur, lr,
 ul, ll applied to two terms. A presentation lists generators and relations
 between terms; closing a braid word yields one presentation per strand.
-Presentations and the Laurent braid matrices both come from the one upward
-fold ``braid_act_up``: the downward action is the upward action of the
-inverse word, read from the other end. ``linearize`` is the one linearizer
-behind both rings, and ``linearize_relations`` their one lhs - rhs rule.
+Presentations and the braid matrices both come from the one upward fold
+``braid_act_up``, over terms or (``linear_node``) coefficient rows; the downward
+action is the upward one of the inverse word, read from the other end.
+``linearize_relations`` (lhs - rhs, by ``linearize``) serves presentations in both rings.
 ``_postorder`` is the one walk over term DAGs: rendering, hashing, repr,
 equality and renaming-equality (both compare structure numbers from
 ``_fold``), the generator check and ``linearize`` all take their node order
@@ -281,19 +281,19 @@ def parse_presentation(text: str) -> BQPresentation:
     return BQPresentation(generators, relations)
 
 
-# Crossing morphisms on pairs of terms: phi_u(a, b) = (ur(b,a), lr(a,b)) and
-# phi_u_inv(a, b) = (ll(b,a), ul(a,b)). A downward crossing is the upward one of
-# the other sign conjugated by the strand swap: called on (b, a), then reversed.
-def apply_morphism(kind: str, pair: tuple[BQTerm, BQTerm]) -> tuple[BQTerm, BQTerm]:
+# Crossing morphisms, each output built by ``node`` (terms, or ``linear_node`` rows):
+# phi_u(a, b) = (ur(b,a), lr(a,b)) and phi_u_inv(a, b) = (ll(b,a), ul(a,b)). A downward
+# crossing is the upward one of the other sign, conjugated by the strand swap.
+def apply_morphism(kind: str, pair: tuple, node=BQTerm.node) -> tuple:
     a, b = pair
     if kind == "phi_u":
-        return (ur(b, a), lr(a, b))
+        return (node("ur", b, a), node("lr", a, b))
     if kind == "phi_u_inv":
-        return (ll(b, a), ul(a, b))
+        return (node("ll", b, a), node("ul", a, b))
     if kind == "phi_d":
-        return apply_morphism("phi_u_inv", (b, a))[::-1]
+        return apply_morphism("phi_u_inv", (b, a), node)[::-1]
     if kind == "phi_d_inv":
-        return apply_morphism("phi_u", (b, a))[::-1]
+        return apply_morphism("phi_u", (b, a), node)[::-1]
     if kind == "tau":
         return (b, a)
     raise ValueError(f"unknown morphism {kind!r}")
@@ -306,7 +306,23 @@ def switch_rules(switch, inverse) -> dict:
     return {"ur": switch[0][::-1], "lr": switch[1], "ul": inverse[1], "ll": inverse[0][::-1]}
 
 
-def braid_act_up(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
+def linear_node(rules: dict):
+    """``node`` on coefficient rows, dicts from generator to ring element: op(x, y)
+    = left·x + right·y for (left, right) = ``rules[op]``. As in ``linearize``, the
+    multiplier goes on the left (quaternion order); a zero right one is skipped."""
+
+    def node(op: str, x: dict, y: dict) -> dict:
+        left, right = rules[op]
+        out = {g: left * c for g, c in x.items()}
+        if right:
+            for g, c in y.items():
+                out[g] = out[g] + right * c if g in out else right * c
+        return out
+
+    return node
+
+
+def braid_act_up(w: BraidWord, tup: tuple, node=BQTerm.node) -> tuple:
     """Push labels up through the braid, first letter first.
 
     The action is an anti-homomorphism on words, which is exactly this
@@ -318,11 +334,11 @@ def braid_act_up(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
     for letter in w.letters:
         kind = "tau" if letter.virtual else ("phi_u" if letter.exponent > 0 else "phi_u_inv")
         i = letter.index - 1
-        labels[i], labels[i + 1] = apply_morphism(kind, (labels[i], labels[i + 1]))
+        labels[i], labels[i + 1] = apply_morphism(kind, (labels[i], labels[i + 1]), node)
     return tuple(labels)
 
 
-def braid_act_down(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
+def braid_act_down(w: BraidWord, tup: tuple, node=BQTerm.node) -> tuple:
     """Push labels down through the braid, last letter first.
 
     The downward action is a homomorphism on words. Slot positions count
@@ -331,7 +347,7 @@ def braid_act_down(w: BraidWord, tup: tuple[BQTerm, ...]) -> tuple[BQTerm, ...]:
     this is the upward action of the inverse word on the reversed tuple,
     reversed.
     """
-    return braid_act_up(invert_braid(w), tup[::-1])[::-1]
+    return braid_act_up(invert_braid(w), tup[::-1], node)[::-1]
 
 
 def linearize(pairs: list[tuple[BQTerm, object]], rules: dict) -> dict:

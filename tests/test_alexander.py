@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from biquandles import terms
 from biquandles.alexander import (
     block_at,
     braid_matrix_down,
@@ -18,7 +19,7 @@ from biquandles.alexander import (
 from biquandles.braids import BraidLetter, BraidWord, invert_braid, parse_braid_word, random_braid
 from biquandles.errors import DomainError
 from biquandles.laurent import ONE, S, T, ZERO, LaurentMatrix, LaurentPoly, determinant, format_poly
-from biquandles.terms import parse_presentation, presentation_from_braid
+from biquandles.terms import BQTerm, parse_presentation, presentation_from_braid
 
 
 def seeded_words(count):
@@ -151,6 +152,23 @@ class TestBraidMatrices:
             w = random_braid(4, 8, seed)
             r = reversal_matrix(4)
             assert braid_matrix_up(w) == r @ braid_matrix_down(invert_braid(w)) @ r
+
+
+    def test_braid_path_builds_no_term(self, monkeypatch):
+        """Braid matrices and ``gap`` fold coefficient rows: with term
+        construction and ``terms.linearize`` both raising, they still give
+        the same values."""
+        words = [parse_braid_word("n=1;"), parse_braid_word("n=2; v1 s1")] + list(seeded_words(20))
+        expected = [(braid_matrix_up(w), braid_matrix_down(w), gap(w)) for w in words]
+
+        def never(*args, **kwargs):
+            raise AssertionError("a term was built or linearized")
+
+        monkeypatch.setattr(BQTerm, "__init__", never)
+        monkeypatch.setattr(terms, "linearize", never)
+        with pytest.raises(AssertionError):
+            presentation_from_braid(words[1])
+        assert [(braid_matrix_up(w), braid_matrix_down(w), gap(w)) for w in words] == expected
 
 
 class TestRelationMatrices:

@@ -130,7 +130,8 @@ class TestGap:
         def never(*args):
             raise AssertionError("a row was linearized")
 
-        monkeypatch.setattr(alexander, "linearize", never)
+        monkeypatch.setattr(alexander, "braid_act_up", never)
+        monkeypatch.setattr(alexander, "braid_act_down", never)
         monkeypatch.setattr(alexander, "linearize_relations", never)
         if source == "braid":
             argv, size = ["--braid", "n=30000;"], 30000

@@ -20,6 +20,7 @@ from biquandles.terms import (
     braid_act_down,
     braid_act_up,
     generator_names,
+    linear_node,
     linearize,
     ll,
     lr,
@@ -500,6 +501,28 @@ class TestDownwardActionOracle:
         w = parse_braid_word("n=3; s1")
         with pytest.raises(ValueError, match=f"tuple length {size} does not match 3 strands"):
             braid_act_down(w, tuple(BQTerm.gen(g) for g in generator_names(size)))
+
+
+# Every n in 1..6 with L in 0..15, so one-strand and empty words are among them.
+ROW_FOLD_WORDS = [random_braid(1 + k % 6, k % 16, seed=k) for k in range(200)]
+
+
+class TestRowFold:
+    """``linear_node`` folds coefficient rows through a word; linearizing the
+    term fold's images is the reference."""
+
+    @pytest.mark.parametrize("ring, one", [("alexander", ONE), ("quaternion", quaternion.ONE_Q)])
+    @pytest.mark.parametrize("act", [braid_act_up, braid_act_down])
+    def test_matches_linearized_term_fold(self, ring, one, act):
+        rules = RINGS[ring][0]
+        assert any(w.strands == 1 for w in ROW_FOLD_WORDS) and any(not w.letters for w in ROW_FOLD_WORDS)
+        for w in ROW_FOLD_WORDS:
+            names = generator_names(w.strands)
+            rows = act(w, tuple({g: one} for g in names), linear_node(rules))
+            images = act(w, tuple(BQTerm.gen(g) for g in names))
+            assert len(rows) == w.strands
+            for row, image in zip(rows, images):
+                assert {g: c for g, c in row.items() if c} == linearize([(image, one)], rules), str(w)
 
 
 class TestPresentationsFromBraids:
