@@ -153,7 +153,6 @@ class TestBraidMatrices:
             r = reversal_matrix(4)
             assert braid_matrix_up(w) == r @ braid_matrix_down(invert_braid(w)) @ r
 
-
     def test_braid_path_builds_no_term(self, monkeypatch):
         """Braid matrices and ``gap`` fold coefficient rows: with term
         construction and ``terms.linearize`` both raising, they still give

@@ -503,7 +503,7 @@ class TestDownwardActionOracle:
             braid_act_down(w, tuple(BQTerm.gen(g) for g in generator_names(size)))
 
 
-# Every n in 1..6 with L in 0..15, so one-strand and empty words are among them.
+# n in 1..6 and L in 0..15, so one-strand and empty words are among them.
 ROW_FOLD_WORDS = [random_braid(1 + k % 6, k % 16, seed=k) for k in range(200)]
 
 
