@@ -195,7 +195,7 @@ def markov_move(w: BraidWord, kind: str, letter: BraidLetter | None = None, sign
     Conjugation by g returns g w g^-1 on the same strands. Stabilization
     appends a classical crossing on a fresh strand. Destabilization is only
     offered in the strictly safe syntactic case: the final letter is classical
-    on the last two strands and no other letter touches them.
+    on the last two strands and the rest of the word lies on the first n - 1.
     """
     if kind == "conjugate":
         if letter is None:

@@ -384,42 +384,40 @@ def _perfect_matching(pattern: list[set[int]]) -> list[int] | None:
 
 
 def _strong_components(edges: list) -> list[list[int]]:
-    """Tarjan's strongly connected components of the graph v -> edges[v],
-    with an explicit stack, so a long path needs no recursion."""
+    """Strongly connected components of the graph v -> edges[v], sinks first.
+
+    Kosaraju: a depth-first walk of the reversed graph records finish order,
+    then, latest finish first, each unclaimed vertex claims all it reaches in
+    the graph. The reversed walk finishes last in a sink of the graph, so each
+    claim stays in one component and sinks come first. Neither sweep
+    recurses, so a long path needs no deep stack.
+    """
     n = len(edges)
-    index, low, on_stack = [-1] * n, [0] * n, [False] * n
-    stack, work, out, counter = [], [], [], 0
-
-    def enter(v: int) -> None:
-        nonlocal counter
-        index[v] = low[v] = counter
-        counter += 1
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(edges[v])))
-
-    for root in range(n):
-        if index[root] < 0:
-            enter(root)
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    enter(w)
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        on_stack[component[-1]] = False
-                    out.append(component)
+    reverse = [[] for _ in range(n)]
+    for v in range(n):
+        for w in edges[v]:
+            reverse[w].append(v)
+    order, seen = [], [False] * n
+    stack = [(v, False) for v in range(n)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            order.append(v)
+        elif not seen[v]:
+            seen[v] = True
+            stack.append((v, True))
+            stack += ((w, False) for w in reverse[v] if not seen[w])
+    out, claimed = [], [False] * n
+    for root in reversed(order):
+        if not claimed[root]:
+            claimed[root] = True
+            component = [root]
+            for v in component:
+                for w in edges[v]:
+                    if not claimed[w]:
+                        claimed[w] = True
+                        component.append(w)
+            out.append(component)
     return out
 
 
@@ -440,10 +438,10 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        and a zero block ends the product. The empty matrix's determinant is
        the empty product, 1. The matching is breadth first: a row's free
        column is taken before any row behind an owned column is entered.
-       Matching and components take O(n * cells) time at worst, cells the
-       nonzero entries, and a chain word's matrix is matched in time linear
-       in its nonzeros; reading blocks of sizes k takes O(sum of k^2) <= n^2,
-       no more than reading the dense matrix once.
+       The matching takes O(n * cells) time at worst, cells the nonzero
+       entries, and a chain word's matrix is matched in time linear in its
+       nonzeros; the components take O(n + cells); reading blocks of sizes k
+       takes O(sum of k^2) <= n^2, no more than reading the dense matrix once.
     1. Each row, then each column, is divided by the largest monomial that
        divides it, so every entry is a polynomial. When every s-exponent
        is a multiple of some g > 1, they are divided by g and the result's

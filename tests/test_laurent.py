@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from biquandles import alexander, laurent
 from biquandles.alexander import relation_matrix_from_braid, relation_matrix_from_presentation
-from biquandles.braids import random_braid
+from biquandles.braids import BraidLetter, BraidWord, random_braid
 from biquandles.errors import DomainError
 from biquandles.laurent import (
     ONE,
@@ -496,6 +496,51 @@ class TestGraphHelpers:
         assert laurent._perfect_matching(pattern) is not None
         assert reads <= 2 * sum(map(len, rows))
 
+    def test_strong_components_beyond_eight_vertices(self):
+        """200 seeded digraphs of 9-60 vertices: sparse, dense, one long
+        cycle with sparse edges around it, and the column graphs of 12-20
+        strand chain words. Components are the mutual-reachability classes
+        of a breadth-first oracle, listed sinks first."""
+        rng = random.Random(10)
+        graphs = []
+        for trial in range(180):
+            n = rng.randint(9, 60)
+            density = rng.choice((1.5 / n, 0.2)) if trial < 120 else 1 / n
+            edges = [[w for w in range(n) if rng.random() < density] for _ in range(n)]
+            if trial >= 120:
+                cycle = rng.sample(range(n), rng.randint(n // 2, n))
+                for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                    edges[v].append(w)
+            graphs.append(edges)
+        for seed in range(20):
+            n = 12 + seed % 9
+            indices = list(range(1, n)) + [rng.randint(1, n - 1) for _ in range(rng.randint(1, n // 4))]
+            rng.shuffle(indices)
+            letters = [
+                BraidLetter(i, virtual=True) if rng.random() < 2 / 3 else BraidLetter(i, rng.choice((1, -1)))
+                for i in indices
+            ]
+            m = relation_matrix_from_braid(BraidWord(n, tuple(letters)))
+            pattern = [{j for j, poly in enumerate(row) if poly} for row in m.entries]
+            owner = laurent._perfect_matching(pattern)
+            graphs.append(pattern if owner is None else [pattern[i] for i in owner])
+        for trial, edges in enumerate(graphs):
+            n = len(edges)
+            reach = []
+            for v in range(n):
+                queue = [v]
+                for u in queue:
+                    queue += [w for w in edges[u] if w not in queue]
+                reach.append(set(queue))
+            components = laurent._strong_components(edges)
+            assert sorted(v for c in components for v in c) == list(range(n)), trial
+            component_of = {v: b for b, c in enumerate(components) for v in c}
+            for v, w in itertools.product(range(n), repeat=2):
+                same = component_of[v] == component_of[w]
+                assert same == (w in reach[v] and v in reach[w]), trial
+            # Sinks first: no edge leads to a later component.
+            assert all(component_of[w] <= component_of[v] for v in range(n) for w in edges[v]), trial
+
 
 class TestBlockSplit:
     """``determinant`` splits a matrix into the diagonal blocks of its block
@@ -534,6 +579,26 @@ class TestBlockSplit:
                 assert det == bareiss_determinant(m), lengths
                 assert n > 6 or det == cofactor_determinant(m), lengths
                 assert grid_sizes == [], lengths
+
+    def test_component_order_does_not_change_the_determinant(self, monkeypatch):
+        """The blocks and cycles may come in any order, with members in any
+        order: reversed lists, each rotated by one, give the same results."""
+        components = laurent._strong_components
+
+        def shuffled(edges):
+            return [c[1:] + c[:1] for c in reversed(components(edges))]
+
+        monkeypatch.setattr(laurent, "_strong_components", shuffled)
+        rng = random.Random(17)
+        matrices = []
+        for _ in range(40):
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            matrices.append(permuted(block_triangular(rng, sizes), rng))
+        for seed in range(20):
+            rng = random.Random(seed)
+            matrices.append(relation_matrix_from_braid(random_braid(rng.randint(4, 6), rng.randint(30, 45), seed)))
+        for trial, m in enumerate(matrices):
+            assert determinant(m) == bareiss_determinant(m), trial
 
     def test_structural_zero_needs_no_grid(self, monkeypatch):
         def never(*args):
