@@ -69,9 +69,10 @@ def _check_matrix_cells(rows: int, cols: int) -> None:
 
 
 def _linear_rows(names: list[str], rows: list[dict]) -> LaurentMatrix:
-    """One matrix row per coefficient dict. Cells may be shared objects (``ZERO``,
-    ``ONE`` and ``linearize``'s ``OP_COEFFS`` entries): a caller may put a new
-    polynomial in a cell's slot, but may not change a cell's terms in place."""
+    """One matrix row per coefficient dict. Cells may be the shared ``ZERO`` and
+    ``ONE`` (the rest are products and sums that ``linearize`` or ``linear_node``
+    made): a caller may put a new polynomial in a cell's slot, but may not
+    change a cell's terms in place."""
     return LaurentMatrix([[coeffs.get(name, ZERO) for name in names] for coeffs in rows])
 
 

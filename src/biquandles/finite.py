@@ -53,9 +53,11 @@ class FiniteBiquandle:
         missing = [op for op in OPS if op not in tables]
         if missing:
             raise ValueError(f"missing operation tables: {', '.join(missing)}")
-        stack = np.asarray([tables[op] for op in OPS], dtype=np.int64)  # tables of unequal sizes raise here
+        stack = np.asarray([tables[op] for op in OPS])  # tables of unequal sizes raise here
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
             raise ValueError(f"tables must be square and nonempty, got shape {stack.shape[1:]}")
+        if stack.dtype.kind not in "iu":  # floats, bools, strings, and ints too large for int64
+            raise ValueError(f"table entries must be integers, got {stack.dtype}")
         self.size = size = stack.shape[1]
         if stack.min() < 0 or stack.max() >= size:
             raise ValueError(f"table entries must lie in 0..{size - 1}")

@@ -355,7 +355,7 @@ def _grid_determinants(dense: np.ndarray, n: int, box_s: int, box_t: int, p: np.
     return num * _inverse(den, p[:, None, None]) % p[:, None, None]
 
 
-def _perfect_matching(pattern: list[set[int]]) -> list[int] | None:
+def _perfect_matching(pattern: list) -> list[int] | None:
     """owner[j], the row matched to column j, for a perfect matching of rows
     to the columns in ``pattern[row]``; None when there is none.
 
@@ -424,24 +424,24 @@ def _strong_components(edges: list) -> list[list[int]]:
 def determinant(m: LaurentMatrix) -> LaurentPoly:
     """Exact determinant by evaluation modulo primes and interpolation.
 
-    0. Rows are matched to the columns of their nonzero entries; with no
-       perfect matching the determinant is 0, found before any ring
-       arithmetic. Otherwise the strongly connected components of the
-       column graph j -> k (the row matched to j has a nonzero in column k)
-       are the diagonal blocks of a block-triangular form of the matrix,
-       and det M is the sign of the matching permutation times the product
-       of the blocks' determinants (the sign of the row order times that of
-       the column order), which is (-1)^(n - c) for the c cycles of the
-       matching, the strong components of j -> owner[j]. Every matrix takes
-       this one path: blocks are read from the matrix smallest first, a
-       1 x 1 block's determinant is its entry, larger blocks run steps 1-5,
-       and a zero block ends the product. The empty matrix's determinant is
-       the empty product, 1. The matching is breadth first: a row's free
-       column is taken before any row behind an owned column is entered.
-       The matching takes O(n * cells) time at worst, cells the nonzero
-       entries, and a chain word's matrix is matched in time linear in its
-       nonzeros; the components take O(n + cells); reading blocks of sizes k
-       takes O(sum of k^2) <= n^2, no more than reading the dense matrix once.
+    0. Rows are matched to the columns of their nonzero entries, which one
+       pass over the matrix keeps as the pattern; with no perfect matching
+       the determinant is 0, found before any ring arithmetic. Otherwise
+       the strongly connected components of the column graph j -> k (the
+       row matched to j has a nonzero in column k) are the diagonal blocks
+       of a block-triangular form of the matrix, and det M is the sign of
+       the matching permutation times the product of the blocks'
+       determinants (the sign of the row order times that of the column
+       order), which is (-1)^(n - c) for the c cycles of the matching, the
+       strong components of j -> owner[j]. Every matrix takes this one
+       path: blocks are taken smallest first as their nonzero cells in the
+       pattern, a 1 x 1 block's determinant is its entry, larger blocks run
+       steps 1-5, and a zero block ends the product. The empty matrix's
+       determinant is the empty product, 1. The matching is breadth first:
+       a row's free column is taken before any row behind an owned column
+       is entered. It takes O(n * cells) time at worst, cells the nonzero
+       entries, and linear time on a chain word's matrix; the components
+       and the blocks' cells take O(n + cells), with no second matrix read.
     1. Each row, then each column, is divided by the largest monomial that
        divides it, so every entry is a polynomial. When every s-exponent
        is a multiple of some g > 1, they are divided by g and the result's
@@ -482,32 +482,30 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
     """
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    pattern = [{j for j, poly in enumerate(row) if poly} for row in m.entries]
+    pattern = [{j: poly for j, poly in enumerate(row) if poly} for row in m.entries]
     owner = _perfect_matching(pattern)
     if owner is None:
         return LaurentPoly()
     det = LaurentPoly.const((-1) ** (m.rows - len(_strong_components([[i] for i in owner]))))
     for columns in sorted(_strong_components([pattern[i] for i in owner]), key=len):
         # Row owner[k] takes column k's place: matched entries lie on the diagonal.
-        block = [[m.entries[owner[k]][j] for j in columns] for k in columns]
-        part = block[0][0] if len(block) == 1 else _block_determinant(block)
+        place = {j: b for b, j in enumerate(columns)}
+        cells = [(place[k], place[j], poly) for k in columns for j, poly in pattern[owner[k]].items() if j in place]
+        part = cells[0][2] if len(columns) == 1 else _block_determinant(len(columns), cells)
         if not part:
             return part
         det = det * part
     return det
 
 
-def _block_determinant(block: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Steps 1-5 of ``determinant`` on an n x n diagonal block, n > 1, whose
-    matched entries lie on its diagonal, so every line has a term. First the
-    terms are flattened into (row, column, s-exp, t-exp, coefficient) columns."""
+def _block_determinant(n: int, cells: list[tuple[int, int, LaurentPoly]]) -> LaurentPoly:
+    """Steps 1-5 of ``determinant`` on an n x n diagonal block, n > 1, given
+    as its nonzero (row, column, entry) cells in any order. Its matched
+    entries lie on its diagonal, so every line has a term. First the terms
+    are flattened into (row, column, s-exp, t-exp, coefficient) columns."""
     rows, cols, exp_s, exp_t, coeffs = zip(*(
-        (i, j, es, et, c)
-        for i, row in enumerate(block)
-        for j, poly in enumerate(row)
-        for (es, et), c in poly.terms.items()
+        (i, j, es, et, c) for i, j, poly in cells for (es, et), c in poly.terms.items()
     ))
-    n = len(block)
     row_norms, col_norms = [0] * n, [0] * n
     for i, j, c in zip(rows, cols, coeffs):
         row_norms[i] += abs(c)

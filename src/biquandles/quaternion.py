@@ -7,9 +7,10 @@ quaternionic linear relation per presentation relation. S·S' is not the
 identity, so the pair is not a switch, and S fails the Yang–Baxter equation:
 a closure-preserving move can change the ``qcheck`` dimension. Restricting
 scalars to Z turns the system into a plain integer matrix, and its rank mod
-a prime p decides whether the module is trivial; ``fp_rank`` is the one
-place that checks p, reduces the entries and ranks them. A nontrivial
-module certifies the knot is not classical-trivial.
+a prime p decides whether the module is trivial; ``fp_rank`` checks p,
+reduces the entries and ranks them, and ``QRelationSet.reduce_mod`` checks
+p too before it reduces the quaternions. A nontrivial module certifies the
+knot is not classical-trivial.
 """
 
 from __future__ import annotations

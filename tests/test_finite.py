@@ -57,8 +57,15 @@ class TestConstruction:
             ({op: [[0, 1]] for op in OPS}, None, "tables must be square and nonempty, got shape (1, 2)"),
             ({op: [[0, 1], [1, -1]] for op in OPS}, None, "table entries must lie in 0..1"),
             ({op: [[0]] for op in OPS}, ["x", "y"], "expected 1 labels, got 2"),
+            ({**{op: [[0]] for op in OPS}, "ur": [[0.5]]}, None, "table entries must be integers, got float64"),
+            ({op: [[np.float64(1.9), 0], [0, 1]] for op in OPS}, None, "table entries must be integers, got float64"),
+            ({op: [["1", "0"], ["0", "1"]] for op in OPS}, None, "table entries must be integers, got <U1"),
+            ({op: [[2**70]] for op in OPS}, None, "table entries must be integers, got object"),
         ],
-        ids=["missing", "empty", "no-rows", "non-square", "negative-entry", "label-count"],
+        ids=[
+            "missing", "empty", "no-rows", "non-square", "negative-entry", "label-count",
+            "half-entry", "float64-entry", "string-entry", "huge-entry",
+        ],
     )
     def test_refusal_messages(self, tables, labels, message):
         with pytest.raises(ValueError) as err:

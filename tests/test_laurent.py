@@ -408,6 +408,20 @@ def block_triangular(rng, sizes):
     return rows
 
 
+def block_split_matrices():
+    """40 permuted block-triangular matrices and the relation matrices of 20
+    gap-dense-shaped braids (4-6 strands, 30-45 letters)."""
+    rng = random.Random(17)
+    matrices = []
+    for _ in range(40):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        matrices.append(permuted(block_triangular(rng, sizes), rng))
+    for seed in range(20):
+        rng = random.Random(seed)
+        matrices.append(relation_matrix_from_braid(random_braid(rng.randint(4, 6), rng.randint(30, 45), seed)))
+    return matrices
+
+
 def diagonal_monomials(rng, n):
     """An n x n diagonal matrix of random monomials."""
     entries = [LaurentPoly.monomial(rng.choice((-2, -1, 1, 3)), rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
@@ -589,15 +603,7 @@ class TestBlockSplit:
             return [c[1:] + c[:1] for c in reversed(components(edges))]
 
         monkeypatch.setattr(laurent, "_strong_components", shuffled)
-        rng = random.Random(17)
-        matrices = []
-        for _ in range(40):
-            sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
-            matrices.append(permuted(block_triangular(rng, sizes), rng))
-        for seed in range(20):
-            rng = random.Random(seed)
-            matrices.append(relation_matrix_from_braid(random_braid(rng.randint(4, 6), rng.randint(30, 45), seed)))
-        for trial, m in enumerate(matrices):
+        for trial, m in enumerate(block_split_matrices()):
             assert determinant(m) == bareiss_determinant(m), trial
 
     def test_structural_zero_needs_no_grid(self, monkeypatch):
@@ -624,6 +630,36 @@ class TestBlockSplit:
         m = permuted(rows, rng)
         assert determinant(m) == ZERO == bareiss_determinant(m)
         assert grid_sizes == [2]
+
+    def test_blocks_are_read_from_the_pattern(self, monkeypatch):
+        """After the pattern pass no entry of the matrix is read again: each
+        block reaches ``_block_determinant`` as its nonzero cells."""
+        reads = 0
+
+        class CountingRow(list):
+            def __getitem__(self, j):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(j)
+
+        recorded = []
+        block_determinant = laurent._block_determinant
+
+        def recording(n, cells):
+            recorded.append((n, cells))
+            return block_determinant(n, cells)
+
+        monkeypatch.setattr(laurent, "_block_determinant", recording)
+        chain = relation_matrix_from_braid(BraidWord(60, tuple(BraidLetter(i) for i in range(1, 60))))
+        for trial, m in enumerate(block_split_matrices() + [chain]):
+            expected = bareiss_determinant(m)
+            m.entries = [CountingRow(row) for row in m.entries]
+            recorded.clear()
+            assert determinant(m) == expected, trial
+            assert reads == 0, trial
+            for n, cells in recorded:
+                assert all(poly and 0 <= i < n and 0 <= j < n for i, j, poly in cells), trial
+        assert recorded, "the chain word's matrix has a block larger than 1 x 1"
 
 
 class TestBlockCap:
