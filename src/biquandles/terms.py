@@ -12,7 +12,14 @@ equality and renaming-equality (both compare structure numbers from
 ``_fold``), the generator check and ``linearize`` all take their node order
 from it, so each visits each distinct node once.
 Parsed presentations are hash-consed: a subterm repeated anywhere in a file
-is one shared node, so the text's tree becomes a DAG.
+is one shared node, so the text's tree becomes a DAG. The parser also reads
+each distinct subterm's text once. It keeps each parsed subterm under its
+source text, finds where a subterm ends from its line's matching parens
+(``_closing_parens``, one numpy pass over the paren positions), and on a repeat
+takes the node and skips the text. Keys are sliced only while their total
+length stays within ``_KEY_CHARS_PER_CHAR`` (4) times the text; past that the
+parser reads token by token, so a deep chain of distinct subterms, whose keys
+would be quadratic in its depth, still parses in linear time and memory.
 
 Presentation text grammar (line oriented, ``#`` starts a comment):
 
@@ -26,9 +33,12 @@ with ``TERM := IDENT | OP "(" TERM "," TERM ")"`` and IDENT matching
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from .braids import BraidWord, invert_braid
 from .errors import DomainError, ParseError, content_lines
@@ -195,55 +205,104 @@ class BQPresentation:
 
 
 _IDENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
-_TOKEN_RE = re.compile(r"[a-z][a-z0-9]*|[(),=]|\S")
+# One token at a position, after any whitespace; no match means only whitespace is left.
+_TOKEN_AT = re.compile(r"\s*([a-z][a-z0-9]*|[(),=]|\S)")
+# A presentation slices subterm texts as memo keys up to this many characters
+# per character of its text, so key slicing stays linear in the text.
+_KEY_CHARS_PER_CHAR = 4
 
 
-def _parse_term(tokens: list[str], pos: int, declared: set[str], memo: dict) -> tuple[BQTerm, int]:
-    # Iterative, so depth is bounded by memory; open_ops holds [op, left or None].
-    # ``memo`` interns generators by name and nodes by (op, id(left), id(right)),
-    # so a repeated subterm is one shared BQTerm. The memo keeps every node
-    # alive, so an id is never reused while it is a key.
+def _closing_parens(line: str) -> tuple[memoryview, memoryview]:
+    """The position of each paren of ``line``, in order, and at each '(' the
+    position of the ')' that closes it; both empty unless the parens balance.
+    Sorted stably by nesting level, the parens alternate '(' and ')', and each
+    ')' closes the '(' just before it.
+    """
+    wide = not line.isascii()
+    codes = np.frombuffer(line.encode("utf-32-le" if wide else "ascii"), np.uint32 if wide else np.uint8)
+    at = np.flatnonzero((codes == ord("(")) | (codes == ord(")")))
+    opens = codes[at] == ord("(")
+    depth = np.cumsum(np.where(opens, 1, -1))
+    if not len(at) or depth.min() < 0 or depth[-1]:
+        return memoryview(b""), memoryview(b"")
+    depth -= opens  # the level of each pair, below len(at)
+    # The narrowest dtype for the levels lets numpy's stable sort be a radix sort.
+    pairs = np.argsort(depth.astype(np.min_scalar_type(len(at))), kind="stable").reshape(-1, 2)
+    close_at = np.empty_like(at)
+    close_at[pairs[:, 0]] = at[pairs[:, 1]]
+    return at.data, close_at.data
+
+
+def _parse_term(line: str, pos: int, declared: set[str], memo: dict, parens: tuple, budget: int):
+    """The term that starts at ``line[pos:]``, the position after it, and what
+    is left of ``budget``, the characters still to be sliced as memo keys.
+
+    Iterative, so depth is bounded by memory; open_ops holds [op, left or
+    None, text key or None]. ``memo`` interns generators by name and nodes by
+    (op, id(left), id(right)), so a repeated subterm is one shared BQTerm. The
+    memo keeps every node alive, so an id is never reused while it is a key.
+    It also holds each parsed subterm under its source text, cut at the ')'
+    that ``parens`` (from ``_closing_parens``) gives: a later subterm with the
+    same text is that node, and its text is skipped. Equal text parses to the
+    same node and consumes exactly that text, so the skip changes no result
+    and no error.
+    """
+    at, close_at = parens
     open_ops: list[list] = []
     while True:
-        if pos >= len(tokens):
+        token = _TOKEN_AT.match(line, pos)
+        if token is None:
             raise ParseError("unexpected end of term")
-        tok = tokens[pos]
+        tok, pos = token[1], token.end()
         term = memo.get(tok)
         if term is None:
-            if tok in OPS and pos + 1 < len(tokens) and tokens[pos + 1] == "(":
-                open_ops.append([tok, None])
-                pos += 2
-                continue
-            if not _IDENT_RE.match(tok):
-                raise ParseError(f"unexpected token {tok!r} in term")
-            if tok not in declared:
-                raise ParseError(f"undeclared generator {tok!r}")
-            term = memo[tok] = BQTerm.gen(tok)
-        pos += 1
+            paren = _TOKEN_AT.match(line, pos) if tok in OPS else None
+            if paren is None or paren[1] != "(":
+                if not _IDENT_RE.match(tok):
+                    raise ParseError(f"unexpected token {tok!r} in term")
+                if tok not in declared:
+                    raise ParseError(f"undeclared generator {tok!r}")
+                term = memo[tok] = BQTerm.gen(tok)
+            else:
+                start, key = token.start(1), None
+                close = close_at[bisect_left(at, paren.start(1))] if at else -1
+                if start < close < start + budget:
+                    key = line[start : close + 1]
+                    budget -= len(key)
+                    term = memo.get(key)
+                if term is None:
+                    open_ops.append([tok, None, key])
+                    pos = paren.end()
+                    continue
+                pos = close + 1
         while open_ops:
-            op, left = open_ops[-1]
+            op, left, key = open_ops[-1]
+            token = _TOKEN_AT.match(line, pos)
             if left is None:
-                if pos >= len(tokens) or tokens[pos] != ",":
+                if token is None or token[1] != ",":
                     raise ParseError(f"expected ',' in {op}(...) term")
                 open_ops[-1][1] = term
-                pos += 1
+                pos = token.end()
                 break
-            if pos >= len(tokens) or tokens[pos] != ")":
+            if token is None or token[1] != ")":
                 raise ParseError(f"expected ')' closing {op}(...) term")
             open_ops.pop()
-            key = (op, id(left), id(term))
-            node = memo.get(key)
+            node_key = (op, id(left), id(term))
+            node = memo.get(node_key)
             if node is None:
-                node = memo[key] = BQTerm.node(op, left, term)
-            term, pos = node, pos + 1
+                node = memo[node_key] = BQTerm.node(op, left, term)
+            if key is not None:
+                memo[key] = node
+            term, pos = node, token.end()
         else:
-            return term, pos
+            return term, pos, budget
 
 
 def parse_presentation(text: str) -> BQPresentation:
     generators: list[str] | None = None
     relations: list[BQRelation] = []
     memo: dict = {}
+    budget = _KEY_CHARS_PER_CHAR * len(text)
     for lineno, line in content_lines(text):
         keyword = line.split(None, 1)[0]
         rest = line[len(keyword) :]
@@ -263,15 +322,16 @@ def parse_presentation(text: str) -> BQPresentation:
         if keyword == "rel":
             if generators is None:
                 raise ParseError(f"line {lineno}: rel before gens")
-            tokens = _TOKEN_RE.findall(rest)
+            parens = _closing_parens(rest)
             try:
-                lhs, pos = _parse_term(tokens, 0, declared, memo)
-                if pos >= len(tokens) or tokens[pos] != "=":
+                lhs, pos, budget = _parse_term(rest, 0, declared, memo, parens, budget)
+                equals = _TOKEN_AT.match(rest, pos)
+                if equals is None or equals[1] != "=":
                     raise ParseError("expected '=' between relation sides")
-                rhs, pos = _parse_term(tokens, pos + 1, declared, memo)
+                rhs, pos, budget = _parse_term(rest, equals.end(), declared, memo, parens, budget)
             except ParseError as e:
                 raise ParseError(f"line {lineno}: {e}") from None
-            if pos != len(tokens):
+            if _TOKEN_AT.match(rest, pos):
                 raise ParseError(f"line {lineno}: trailing tokens after relation")
             relations.append(BQRelation(lhs, rhs))
             continue

@@ -299,9 +299,14 @@ class TestAxioms:
 
 def _run_child(*argv, preexec_fn=None):
     """Run ``python -m biquandles`` on argv; return the process and its wall time."""
+    return _run_python("-m", "biquandles", *argv, preexec_fn=preexec_fn)
+
+
+def _run_python(*args, preexec_fn=None):
+    """Run the interpreter on args; return the process and its wall time."""
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "biquandles", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=_CHILD_ENV,
@@ -429,6 +434,47 @@ class TestInputFileCap:
         proc, _ = _run_child(*argv, "/dev/zero", preexec_fn=_limit_memory_to_1_gb)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: input file /dev/zero is above the limit of 2^26 bytes\n"
+
+
+# Parses the presentation file argv[1] and prints how many tokens it read.
+_COUNT_TOKEN_READS = """
+import sys, types
+from biquandles import terms
+reads, read = [], terms._TOKEN_AT.match
+terms._TOKEN_AT = types.SimpleNamespace(match=lambda *args: reads.append(1) or read(*args))
+with open(sys.argv[1], encoding="utf-8") as f:
+    terms.parse_presentation(f.read())
+print(len(reads))
+"""
+
+
+class TestParseCostInAChild:
+    """The parser reads each distinct subterm's text once, and slices memo keys
+    in total length linear in the text."""
+
+    def test_doubling_text_reads_each_distinct_subterm_once(self, tmp_path):
+        """x_{k+1} = ur(x_k,x_k) at k = 19 is 3 MB of text over 20 nodes: read
+        token by token, it took 1.2 s and 2^19 times the reads."""
+        k, term = 19, "a"
+        for _ in range(k):
+            term = f"ur({term},{term})"
+        path = tmp_path / "doubling.bq"
+        path.write_text(f"gens a\nrel {term} = a\n")
+        proc, seconds = _run_python("-c", _COUNT_TOKEN_READS, str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert int(proc.stdout) == 6 * k + 3  # six reads per level, the right operand skipped
+        assert seconds < 1
+
+    def test_deep_chain_of_distinct_subterms_stays_linear(self, tmp_path):
+        """Each of the 200,000 nested subterms is new, so every memo key would
+        be sliced: about 10^11 characters without the key budget."""
+        depth = 200_000
+        path = tmp_path / "chain.bq"
+        path.write_text("gens a b\nrel " + "ur(" * depth + "a" + ",b)" * depth + " = a\n")
+        proc, seconds = _run_python("-c", _COUNT_TOKEN_READS, str(path), preexec_fn=_limit_memory_to_1_gb)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert int(proc.stdout) == 5 * depth + 4  # each token once
+        assert seconds < 5
 
 
 class TestDeterminantBlockCap:
@@ -595,16 +641,16 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("argv", [["gap", "--braid", "n=2; v1 s1"], ["axioms", "--alexander", "1,1,1"]])
     def test_closed_stdout_gives_one_error_line(self, argv):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "biquandles", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             env=_CHILD_ENV,
-        )
-        proc.stdout.close()  # before the child has written anything
-        err = proc.stderr.read()
-        assert proc.wait() == 1
+        ) as proc:
+            proc.stdout.close()  # before the child has written anything
+            err = proc.stderr.read()
+            assert proc.wait() == 1
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 
@@ -13,6 +14,7 @@ from biquandles.laurent import ONE, ZERO, LaurentPoly, S, T
 from biquandles.quaternion import Quaternion
 from biquandles.terms import (
     OPS,
+    _postorder,
     BQPresentation,
     BQRelation,
     BQTerm,
@@ -329,12 +331,77 @@ class TestInterningParser:
             ("# no names\ngens   # a comment\n", "line 2: gens line lists no generators"),
             ("", "presentation has no gens line"),
             ("# only a comment\n\n", "presentation has no gens line"),
+            # Through the text-keyed skip: ur(a,b) is memoized on line 2 and skipped on line 3.
+            ("gens a b\nrel ur(a,b) = a\nrel lr(ur(a,b),ur(a,c)) = b\n", "line 3: undeclared generator 'c'"),
+            ("gens a b\nrel ur(a,b) = a\nrel ur(a,b) = ur(a,b)(a)\n", "line 3: trailing tokens after relation"),
+            ("gens a b\nrel ur(a,b) = a\nrel lr(ur(a,b),ur(a,b) = b\n", "line 3: expected ')' closing lr(...) term"),
+            ("gens a b\nrel ur(a,b) = a\nrel ur(a,b)) = a\n", "line 3: expected '=' between relation sides"),
+            ("gens a b\nrel ur(a,b) = a\nrel a = ur(a,b))\n", "line 3: trailing tokens after relation"),
+            ("gens a b\nrel lr(ur(a,b),b) = a\nrel lr(ur(a, b),c) = a\n", "line 3: undeclared generator 'c'"),
+            ("gens a b\nrel ur(a,b) = a\nrel ur( a , b ) b = a\n", "line 3: expected '=' between relation sides"),
         ],
     )
     def test_error_messages(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_presentation(text)
         assert str(info.value) == message
+
+
+def _one_node_per_subterm(pres) -> bool:
+    """No two node objects of ``pres`` are equal as trees."""
+    numbers, table = {}, {}
+    for t in _postorder([side for rel in pres.relations for side in (rel.lhs, rel.rhs)]):
+        key = t.name if t.op is None else (t.op, numbers[id(t.left)], numbers[id(t.right)])
+        if key in table:
+            return False
+        numbers[id(t)] = table[key] = len(table)
+    return True
+
+
+def _respaced(text, rng, spacers):
+    """``text`` with a spacer from ``spacers`` between tokens, a comment after
+    some lines and CRLF line ends; names and the keyword keep a nonempty one."""
+    lines = []
+    for line in text.splitlines():
+        keyword, rest = line.split(" ", 1)
+        tokens = re.findall(r"[a-z][a-z0-9]*|\S", rest)
+        pick = (lambda: rng.choice([s for s in spacers if s] or [" "])) if keyword == "gens" else (lambda: rng.choice(spacers))
+        body = "".join(tok + pick() for tok in tokens)
+        comment = rng.choice(["", "# ur(a,b) (", "\t# note )"])
+        lines.append(keyword + rng.choice([" ", "\t", "\u3000"]) + body + comment)
+    return "\r\n".join(lines) + "\r\n"
+
+
+class TestSpacingProperty:
+    """Re-spaced, commented and CRLF text parses to the canonical presentation,
+    one node per distinct subterm. Uniform spacing repeats subterm text exactly
+    (the skip path); mixed spacing repeats it with other whitespace."""
+
+    SPACINGS = [[" "], ["\t"], ["\u3000"], ["", " ", "\t", "\u3000", " \t "]]
+
+    def _check(self, text, rng):
+        canonical = parse_presentation(text)
+        assert canonical.render() == text and _one_node_per_subterm(canonical)
+        count = len(_distinct_nodes(canonical))
+        for spacers in self.SPACINGS:
+            variant = parse_presentation(_respaced(text, rng, spacers))
+            assert variant == canonical
+            assert len(_distinct_nodes(variant)) == count
+            assert _one_node_per_subterm(variant)
+
+    def test_braid_presentations(self):
+        rng = random.Random(29)
+        for _ in range(6):
+            word = random_braid(rng.randint(3, 5), rng.randint(12, 22), seed=rng.randrange(2**32))
+            self._check(presentation_from_braid(word).render(), rng)
+
+    def test_shared_dags(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            steps = [(rng.randrange(4), rng.randrange(64), rng.randrange(64)) for _ in range(rng.randint(1, 12))]
+            pairs = _shared_dag(steps, [(rng.randrange(64), 0) for _ in range(4)], "alexander")
+            rels = [f"rel {lhs.render()} = {rhs.render()}" for (lhs, _), (rhs, _) in zip(pairs[::2], pairs[1::2])]
+            self._check("gens a b c\n" + "\n".join(rels) + "\n", rng)
 
 
 class TestLinearize:
