@@ -216,7 +216,9 @@ def _closing_parens(line: str) -> tuple[memoryview, memoryview]:
     """The position of each paren of ``line``, in order, and at each '(' the
     position of the ')' that closes it; both empty unless the parens balance.
     Sorted stably by nesting level, the parens alternate '(' and ')', and each
-    ')' closes the '(' just before it.
+    ')' closes the '(' just before it. Both come as memoryviews, which
+    ``bisect`` and indexing read as Python ints: the parser looks up only the
+    '(' it reaches, a few of them, so converting them all would cost more.
     """
     wide = not line.isascii()
     codes = np.frombuffer(line.encode("utf-32-le" if wide else "ascii"), np.uint32 if wide else np.uint8)
@@ -248,15 +250,16 @@ def _parse_term(line: str, pos: int, declared: set[str], memo: dict, parens: tup
     and no error.
     """
     at, close_at = parens
+    read = _TOKEN_AT.match
     open_ops: list[list] = []
     while True:
-        token = _TOKEN_AT.match(line, pos)
+        token = read(line, pos)
         if token is None:
             raise ParseError("unexpected end of term")
         tok, pos = token[1], token.end()
         term = memo.get(tok)
         if term is None:
-            paren = _TOKEN_AT.match(line, pos) if tok in OPS else None
+            paren = read(line, pos) if tok in OPS else None
             if paren is None or paren[1] != "(":
                 if not _IDENT_RE.match(tok):
                     raise ParseError(f"unexpected token {tok!r} in term")
@@ -277,7 +280,7 @@ def _parse_term(line: str, pos: int, declared: set[str], memo: dict, parens: tup
                 pos = close + 1
         while open_ops:
             op, left, key = open_ops[-1]
-            token = _TOKEN_AT.match(line, pos)
+            token = read(line, pos)
             if left is None:
                 if token is None or token[1] != ",":
                     raise ParseError(f"expected ',' in {op}(...) term")

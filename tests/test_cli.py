@@ -453,8 +453,8 @@ class TestParseCostInAChild:
     in total length linear in the text."""
 
     def test_doubling_text_reads_each_distinct_subterm_once(self, tmp_path):
-        """x_{k+1} = ur(x_k,x_k) at k = 19 is 3 MB of text over 20 nodes: read
-        token by token, it took 1.2 s and 2^19 times the reads."""
+        """x_{k+1} = ur(x_k,x_k) at k = 19 is 3 MB of text, 2.6 million tokens,
+        over 20 distinct terms. Read token by token, it took 1.2 s."""
         k, term = 19, "a"
         for _ in range(k):
             term = f"ur({term},{term})"

@@ -14,10 +14,10 @@ from biquandles.laurent import ONE, ZERO, LaurentPoly, S, T
 from biquandles.quaternion import Quaternion
 from biquandles.terms import (
     OPS,
-    _postorder,
     BQPresentation,
     BQRelation,
     BQTerm,
+    _postorder,
     apply_morphism,
     braid_act_down,
     braid_act_up,
@@ -365,8 +365,8 @@ def _respaced(text, rng, spacers):
     for line in text.splitlines():
         keyword, rest = line.split(" ", 1)
         tokens = re.findall(r"[a-z][a-z0-9]*|\S", rest)
-        pick = (lambda: rng.choice([s for s in spacers if s] or [" "])) if keyword == "gens" else (lambda: rng.choice(spacers))
-        body = "".join(tok + pick() for tok in tokens)
+        between = [s for s in spacers if s] if keyword == "gens" else spacers
+        body = "".join(tok + rng.choice(between) for tok in tokens)
         comment = rng.choice(["", "# ur(a,b) (", "\t# note )"])
         lines.append(keyword + rng.choice([" ", "\t", "\u3000"]) + body + comment)
     return "\r\n".join(lines) + "\r\n"
