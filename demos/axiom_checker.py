@@ -8,11 +8,20 @@ from biquandles import (
     check_axioms,
     finite_alexander_biquandle,
     finite_quaternionic_biquandle,
+    parse_table_file,
 )
 
 print("linear tables on Z_5 with s=2, t=3:")
 clean = finite_alexander_biquandle(5, 2, 3)
 print(check_axioms(clean).render())
+print()
+
+# the table file format round-trips: `biq axioms --tables FILE` reads what
+# render_tables writes
+again = parse_table_file(clean.render_tables())
+print("the same tables written out and read back:")
+print("tables equal:", all((again.tables[op] == clean.tables[op]).all() for op in clean.tables))
+print("all axioms pass:", check_axioms(again).all_pass)
 print()
 
 # corrupting a single entry breaks the round-trip axioms and the checker

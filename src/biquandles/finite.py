@@ -2,9 +2,17 @@
 
 A finite biquandle on m elements is one (4, m, m) int32 array, an m x m table
 per operation with entries in 0..m-1. The checker verifies every axiom by
-numpy broadcasting, each lookup one gather from a flat table. Axioms 3 and 5
-sweep every tuple; in the existential axioms 1, 2 and 4 a witness x pins the
-one tuple it can witness, so they sweep the m^2 pairs (u, x), not a cube.
+numpy broadcasting. Axioms 3 and 5 sweep every tuple; a lookup T[x, c] at
+the sweep's last variable c reads whole rows of the table (row x is the map
+c -> T[x, c]), T[c, y] whole rows of its transpose, and every other lookup
+is one gather from the flat table. In the existential axioms 1, 2 and 4 a
+witness x pins the one tuple it can witness, so they sweep the m^2 pairs
+(u, x), not a cube.
+
+The table reader reads each operation's m rows in one byte-level numpy pass
+into an (m, m) array; a block that pass cannot read whole (other
+separators, leading zeros past 3 digits, or any error) is read line by line,
+and that reader words every error.
 
 Table file grammar (``#`` starts a comment):
 
@@ -21,6 +29,7 @@ Table file grammar (``#`` starts a comment):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -35,9 +44,10 @@ from .terms import OPS
 
 # Sweeps walk blocks of their first variable; each block's arrays (up to an
 # (a-block, b, c) cube) keep near this many entries, so that a block's
-# gathers stay in cache. Over 50 tables of 31-97 elements, 2^16-2^17 was
-# fastest; 10^6 entries took 1.4x as long and 2^14 1.3x.
-_CHUNK_BUDGET = 1 << 17
+# gathers and row reads stay in cache. Over 50 tables of 31-97 elements
+# (check_axioms, best of 5, five rounds on 2 vCPUs), 2^16 took 0.32-0.35 s,
+# 2^15 0.33-0.37 s, 2^17 0.36-0.39 s, 2^14 and 2^18 0.40-0.45 s.
+_CHUNK_BUDGET = 1 << 16
 
 # Carriers above this need force=True; the cubes grow with the third power.
 MAX_CHECK_SIZE = 100
@@ -71,10 +81,16 @@ class FiniteBiquandle:
     def apply(self, op: str, a: int, b: int) -> int:
         if op not in OPS:
             raise ValueError(f"unknown operation {op!r}")
-        return int(self.tables[op][a, b])
+        return int(self.tables[op][self._element(a), self._element(b)])
 
     def label(self, i: int) -> str:
-        return self.labels[i]
+        return self.labels[self._element(i)]
+
+    def _element(self, i: int) -> int:
+        """i itself, if it is an element 0..m-1; numpy would read -1 as m - 1."""
+        if not 0 <= i < self.size:
+            raise ValueError(f"element {i} out of range 0..{self.size - 1}")
+        return i
 
     def render_tables(self) -> str:
         lines = [f"size {self.size}"]
@@ -112,15 +128,39 @@ class AxiomReport:
         return self.render()
 
 
+@functools.cache
+def _sweep_grids(m: int, arity: int) -> tuple[np.ndarray, ...]:
+    """One read-only index grid per variable of a sweep over 0..m-1, variable k
+    along axis k. Cached, so that a _FlatTable knows the last grid by identity."""
+    index = np.arange(m, dtype=np.int32)
+    grids = tuple(index.reshape([m if j == k else 1 for j in range(arity)]) for k in range(arity))
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
+
+
 class _FlatTable:
-    """An m x m table whose lookup T[x, y] is one gather at x * m + y of the flattened table."""
+    """An m x m table for the sweeps of check_axioms.
+
+    A lookup T[x, c] at the sweep's last variable c, with x constant along
+    c's axis, is one row read of the table: row x of T is the map
+    c -> T[x, c]. T[c, y] likewise reads rows of a contiguous transpose.
+    Every other lookup T[x, y] is one gather at x * m + y of the flat table.
+    """
 
     def __init__(self, table: np.ndarray):
         self.m = len(table)
+        self.rows = table
+        self.columns = np.ascontiguousarray(table.T)
         self.flat = table.ravel()
 
     def __getitem__(self, xy):
         x, y = xy
+        last = _sweep_grids(self.m, x.ndim)[-1]
+        if y is last and x.shape[-1] == 1:
+            return self.rows.take(x[..., 0], axis=0)
+        if x is last and y.ndim == x.ndim and y.shape[-1] == 1:
+            return self.columns.take(y[..., 0], axis=0)
         return self.flat.take(x * self.m + y)
 
 
@@ -138,8 +178,7 @@ def _check(B: FiniteBiquandle, name: str, arity: int, equations) -> AxiomCheck:
     reported with its equation number.
     """
     m = B.size
-    index = np.arange(m, dtype=np.int32)
-    grids = [index.reshape([m if j == k else 1 for j in range(arity)]) for k in range(arity)]
+    grids = _sweep_grids(m, arity)
     step = max(1, _CHUNK_BUDGET // m ** (arity - 1))
     for eq_no, equation in enumerate(equations, start=1):
         for lo in range(0, m, step):
@@ -281,6 +320,45 @@ def _table_row(op: str, line: str, m: int) -> list[int]:
     return row
 
 
+# The byte classes of the block reader: 0 an in-line separator (the only
+# ASCII bytes str.split() splits on inside a content line), 1 a digit, 2 the
+# newline that joins a block's rows, 3 anything else.
+_BYTE_CLASS = np.full(256, 3, dtype=np.uint8)
+_BYTE_CLASS[[0x09, 0x1F, 0x20]] = 0
+_BYTE_CLASS[ord("0") : ord("9") + 1] = 1
+_BYTE_CLASS[ord("\n")] = 2
+
+
+def _table_block(op: str, lines: list[str], m: int):
+    """op's table from the lines after its name: an (m, m) array read by one
+    byte-level numpy pass over the m rows, or, for a block that pass cannot
+    read whole, a list of rows read line by line by _table_row.
+
+    The pass reads a block of m rows of m ASCII digit runs of at most 3
+    digits, split by tabs, 0x1f and spaces, each below m. Any other block
+    (other bytes, longer runs, wrong counts or values, missing rows) goes
+    through _table_row and its "missing rows" check, which word every error.
+    """
+    if len(lines) == m:
+        text = np.frombuffer("\n".join(lines).encode(), dtype=np.uint8)
+        kind = _BYTE_CLASS[text]
+        if not (kind == 3).any():
+            edges = np.flatnonzero(np.diff(kind == 1, prepend=False, append=False))
+            starts, ends = edges[::2], edges[1::2]
+            size = ends - starts
+            if len(starts) == m * m and size.max() <= 3:
+                row = np.searchsorted(np.flatnonzero(kind == 2), starts)
+                digit = np.zeros(len(text) + 2, dtype=np.int32)  # two leading zeros for short runs
+                digit[2:] = np.where(kind == 1, text - ord("0"), 0)
+                values = digit[ends + 1] + 10 * (size > 1) * digit[ends] + 100 * (size > 2) * digit[ends - 1]
+                if (np.bincount(row, minlength=m) == m).all() and values.max() < m:
+                    return values.reshape(m, m)
+    rows = [_table_row(op, line, m) for line in lines]
+    if len(rows) < m:
+        raise ParseError(f"{op} table is missing rows (need {m})")
+    return rows
+
+
 def parse_table_file(text: str) -> FiniteBiquandle:
     lines = [line for _, line in content_lines(text)]
     if not lines or lines[0].split()[0] != "size":
@@ -299,9 +377,7 @@ def parse_table_file(text: str) -> FiniteBiquandle:
             raise ParseError(f"expected an operation name (ur, lr, ul, ll), got {op!r}")
         if op in tables:
             raise ParseError(f"duplicate table for {op}")
-        tables[op] = [_table_row(op, line, m) for line in lines[start + 1 : start + 1 + m]]
-        if len(tables[op]) < m:
-            raise ParseError(f"{op} table is missing rows (need {m})")
+        tables[op] = _table_block(op, lines[start + 1 : start + 1 + m], m)
     missing = [op for op in OPS if op not in tables]
     if missing:
         raise ParseError(f"missing operation tables: {', '.join(missing)}")

@@ -26,6 +26,10 @@ axiom4.variant: pass
 axiom5: pass
 axiom5.variant: pass
 
+the same tables written out and read back:
+tables equal: True
+all axioms pass: True
+
 same tables with ur(0,1) corrupted:
 axiom1: pass
 axiom1.variant: pass

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from itertools import product
 
@@ -85,6 +86,15 @@ class TestConstruction:
         assert b.label(4) == "4"
         with pytest.raises(ValueError):
             b.apply("xx", 0, 0)
+
+    @pytest.mark.parametrize("element", [-1, 5])
+    def test_elements_outside_the_carrier_refused(self, element):
+        """Numpy would read -1 as row 4; 5 would escape as an IndexError."""
+        b = finite_alexander_biquandle(5, 2, 3)
+        message = f"^element {element} out of range 0..4$"
+        for call in (lambda: b.apply("ur", element, 0), lambda: b.apply("ur", 0, element), lambda: b.label(element)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestLinearTables:
@@ -308,6 +318,23 @@ CASE_KINDS = {
 }
 
 
+class TestSweepLookups:
+    def test_lookup_at_a_value_varying_along_the_last_axis_is_a_gather(self):
+        """In T[x, c] with x = T[a, c], x varies along c's axis, so no row of T
+        holds the answer: the sweep reads it entry by entry, as the loops do."""
+        rng = np.random.default_rng(3)
+        m = 7
+        tables = {op: rng.integers(m, size=(m, m)) for op in OPS}
+        ur = tables["ur"]
+        wanted = np.array([[[ur[ur[a, c], c] for c in range(m)] for _ in range(m)] for a in range(m)])
+        B = FiniteBiquandle(tables)
+        T = finite._FlatTable(B.tables["ur"])
+        probe = lambda a, b, c: T[T[a, c], c] == wanted[a, b, c]  # noqa: E731
+        assert finite._check(B, "probe", 3, [probe]).passed
+        wanted[5, 3, 2] = (wanted[5, 3, 2] + 1) % m
+        assert finite._check(B, "probe", 3, [probe]).render() == "probe: fail [counterexample a=5 b=3 c=2 (equation 1)]"
+
+
 class TestReferenceChecker:
     """check_axioms renders what per-tuple loops render, on 204 tables with m <= 6."""
 
@@ -326,6 +353,23 @@ class TestReferenceChecker:
             assert failed & {"axiom4", "axiom4.variant"}
         if kind in ("random", "corrupted-linear"):
             assert {"axiom4", "axiom4.variant", "axiom5", "axiom5.variant"} <= failed
+
+    def test_blocks_of_one_first_value_match_the_loops(self, monkeypatch):
+        """With blocks of one value of a, the first failures of axiom 5 past
+        a=0 come from later blocks, and still match the loops."""
+        monkeypatch.setattr(finite, "_CHUNK_BUDGET", 7)
+        rng = random.Random("axioms-blocks")
+        later = set()
+        for _ in range(60):
+            tables, labels = corrupted_linear_case(rng)
+            B = FiniteBiquandle(tables, labels)
+            expected = reference_report(tables, B.labels)
+            assert check_axioms(B).render() == expected, tables
+            later.update(
+                line for line in expected.splitlines()
+                if line.startswith("axiom5") and "fail" in line and "[counterexample a=0 " not in line
+            )
+        assert len(later) >= 5
 
     def test_linear_tables_pass_the_loops(self):
         rng = random.Random(19)
@@ -438,6 +482,164 @@ class TestTableFiles:
     def test_missing_block_rejected(self):
         with pytest.raises(ParseError):
             parse_table_file("size 1\nur\n0\nlr\n0\nul\n0\n")
+
+
+def reference_read(text: str, m: int):
+    """The tables of a file whose first content line is "size m", read row by
+    row with str.split and int, as {op: rows}; or the ParseError message that
+    parse_table_file gives."""
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())][1:]
+    tables = {}
+    for start in range(0, len(lines), m + 1):
+        op = lines[start]
+        if op not in OPS:
+            return f"expected an operation name (ur, lr, ul, ll), got {op!r}"
+        if op in tables:
+            return f"duplicate table for {op}"
+        tables[op] = []
+        for line in lines[start + 1 : start + 1 + m]:
+            entries = line.split()
+            if len(entries) != m:
+                return f"{op} table row has {len(entries)} entries, expected {m}"
+            if not all(e.isascii() and e.isdecimal() and len(e) <= sys.get_int_max_str_digits() for e in entries):
+                return f"non-integer entry in {op} table row {line!r}"
+            row = [int(e) for e in entries]
+            if too_big := [v for v in row if v >= m]:
+                return f"{op} table entry {too_big[0]} out of range 0..{m - 1}"
+            tables[op].append(row)
+        if len(tables[op]) < m:
+            return f"{op} table is missing rows (need {m})"
+    if missing := [op for op in OPS if op not in tables]:
+        return f"missing operation tables: {', '.join(missing)}"
+    return tables
+
+
+SEPARATORS = [" "] * 6 + ["\t", "\x1f", "  ", " \t ", "\u00a0", "\u3000"]
+ODD_ENTRIES = ["0005", "1005", "0" * 5000, "+0", "0_0", "\u0663", "x", "-1"]
+
+
+def table_text(rng: random.Random, m: int, rows: dict, faults: int) -> str:
+    """rows written as a table file, with separators, line ends and comments
+    drawn from rng, after `faults` random edits of entries and rows."""
+    rows = {op: [[str(v) for v in row] for row in table] for op, table in rows.items()}
+    for _ in range(faults):
+        op = rng.choice(OPS)
+        if not rows[op]:
+            continue
+        row = rng.choice(rows[op])
+        k = rng.randrange(len(row)) if row else 0
+        edit = rng.choice(["odd", "odd", "zeros", "range", "short", "long", "shift", "missing", "extra"])
+        if edit == "odd" and row:
+            row[k] = rng.choice(ODD_ENTRIES)
+        elif edit == "zeros" and row:  # 007 reads as 7, below m or not
+            row[k] = "00" + rng.choice([row[k], "7"])
+        elif edit == "range" and row:
+            row[k] = str(m + rng.randrange(3))
+        elif edit == "short" and row:
+            del row[k]
+        elif edit == "long":
+            row.insert(k, "0")
+        elif edit == "shift" and row:  # one row short and another long: the block's count is right
+            rng.choice(rows[op]).append(row.pop(k))
+        elif edit == "missing":
+            rows[op].remove(row)
+        elif edit == "extra":
+            rows[op].append(list(row))
+    end = rng.choice(["\n", "\n", "\r\n"])
+    comment = lambda: rng.choice(["", "", "", "  # note", "\t#"])  # noqa: E731
+    lines = [f"size {m}"]
+    for op in rng.sample(OPS, 4) if rng.random() < 0.2 else OPS:
+        lines.append(op + comment())
+        for row in rows[op]:
+            if rng.random() < 0.1:
+                lines.append("# a comment line inside the block")
+            sep = rng.choice(SEPARATORS) if rng.random() < 0.3 else " "
+            lines.append(sep.join(row) + comment())
+    return end.join(lines) + end
+
+
+def read_outcome(text: str):
+    """parse_table_file's tables as lists of rows, or its ParseError message."""
+    try:
+        B = parse_table_file(text)
+    except ParseError as err:
+        return str(err)
+    return {op: table.tolist() for op, table in B.tables.items()}
+
+
+class TestBlockReader:
+    """parse_table_file reads what a plain per-row reader reads, and refuses
+    what it refuses with the same message."""
+
+    def test_reads_and_refusals_match_the_row_reader(self):
+        rng = random.Random("table-reader")
+        outcomes = []
+        for _ in range(400):
+            m = rng.choice([1, 2, 3, 5, 7, 10, 31])
+            rows = {op: [[rng.randrange(m) for _ in range(m)] for _ in range(m)] for op in OPS}
+            text = table_text(rng, m, rows, rng.choice([0, 0, 1, 1, 2]))
+            expected = reference_read(text, m)
+            assert read_outcome(text) == expected, text
+            outcomes.append(expected)
+        messages = {e.split()[0] if isinstance(e, str) else "read" for e in outcomes}
+        assert {"read", "ur", "lr", "ul", "ll", "non-integer", "expected"} <= messages
+        assert any(isinstance(e, str) and " out of range " in e for e in outcomes)
+
+    def test_largest_carrier(self):
+        """625 elements, and an entry out of range in the last row."""
+        B = finite_alexander_biquandle(625, 2, 3)
+        rows = {op: table.tolist() for op, table in B.tables.items()}
+        text = B.render_tables()
+        assert read_outcome(text) == rows
+        text = text.rsplit(" ", 1)[0] + " 625\n"
+        assert read_outcome(text) == "ll table entry 625 out of range 0..624"
+
+    @pytest.mark.parametrize(
+        "row, outcome",
+        [
+            ("0\t1\x1f2 3 4 5", [0, 1, 2, 3, 4, 5]),
+            ("0\u00a01\u30002 3 4 5", [0, 1, 2, 3, 4, 5]),
+            ("000 001 002 003 004 005", [0, 1, 2, 3, 4, 5]),
+            ("0005 1 2 3 4 5", [5, 1, 2, 3, 4, 5]),
+            ("1005 1 2 3 4 5", "ur table entry 1005 out of range 0..5"),
+            ("0 1 6 3 4 5", "ur table entry 6 out of range 0..5"),
+            ("+0 1 2 3 4 5", "non-integer entry in ur table row '+0 1 2 3 4 5'"),
+            ("0_0 1 2 3 4 5", "non-integer entry in ur table row '0_0 1 2 3 4 5'"),
+            ("\u0663 1 2 3 4 5", "non-integer entry in ur table row '\u0663 1 2 3 4 5'"),
+            ("0 1", "ur table row has 2 entries, expected 6"),
+            ("0 1 2 3 4 5 0", "ur table row has 7 entries, expected 6"),
+            ("0 1 2 3 4 5 0\n0 0 0 0 0", "ur table row has 7 entries, expected 6"),
+        ],
+    )
+    def test_one_odd_row(self, row, outcome):
+        """Six-element zero tables but for ur's first rows, written as given."""
+        zeros = "0 0 0 0 0 0\n" * 6
+        text = f"size 6\nur\n{row}\n" + zeros[12 * (row.count("\n") + 1) :] + "".join(f"{op}\n{zeros}" for op in OPS[1:])
+        if isinstance(outcome, list):
+            outcome = {op: [[0] * 6 for _ in range(6)] for op in OPS} | {"ur": [outcome] + [[0] * 6] * 5}
+        assert read_outcome(text) == reference_read(text, 6) == outcome
+
+
+class TestReaderPaths:
+    """Which path reads a block, by counted calls of the line-by-line reader."""
+
+    def count_row_reads(self, monkeypatch, text):
+        calls, read = [], finite._table_row
+        monkeypatch.setattr(finite, "_table_row", lambda *args: calls.append(args[0]) or read(*args))
+        return read_outcome(text), calls
+
+    def test_clean_workload_file_reads_no_row_by_row(self, monkeypatch):
+        B = finite_alexander_biquandle(97, 5, 7)
+        outcome, calls = self.count_row_reads(monkeypatch, B.render_tables())
+        assert outcome == {op: table.tolist() for op, table in B.tables.items()}
+        assert calls == []
+
+    def test_bad_entry_in_the_last_row_of_the_last_block(self, monkeypatch):
+        text = finite_alexander_biquandle(97, 5, 7).render_tables()
+        text = text.rsplit(" ", 1)[0] + " 97\n"
+        outcome, calls = self.count_row_reads(monkeypatch, text)
+        assert outcome == "ll table entry 97 out of range 0..96"
+        assert calls == ["ll"] * 97
 
 
 class TestTableCap:
