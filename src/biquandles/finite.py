@@ -340,18 +340,19 @@ def _table_block(op: str, lines: list[str], m: int):
     through _table_row and its "missing rows" check, which word every error.
     """
     if len(lines) == m:
-        text = np.frombuffer("\n".join(lines).encode(), dtype=np.uint8)
+        # two leading blanks keep the third-last digit's index ends - 3 in range
+        text = np.frombuffer(("  " + "\n".join(lines)).encode(), dtype=np.uint8)
         kind = _BYTE_CLASS[text]
         if not (kind == 3).any():
             edges = np.flatnonzero(np.diff(kind == 1, prepend=False, append=False))
             starts, ends = edges[::2], edges[1::2]
-            size = ends - starts
-            if len(starts) == m * m and size.max() <= 3:
-                row = np.searchsorted(np.flatnonzero(kind == 2), starts)
-                digit = np.zeros(len(text) + 2, dtype=np.int32)  # two leading zeros for short runs
-                digit[2:] = np.where(kind == 1, text - ord("0"), 0)
-                values = digit[ends + 1] + 10 * (size > 1) * digit[ends] + 100 * (size > 2) * digit[ends - 1]
-                if (np.bincount(row, minlength=m) == m).all() and values.max() < m:
+            width = ends - starts
+            if len(starts) == m * m and width.max() <= 3:
+                row_of = np.searchsorted(np.flatnonzero(kind == 2), starts)
+                digit = (text - ord("0")).astype(np.int32)
+                # a run's k-th last digit counts only if the run has k digits
+                values = digit[ends - 1] + 10 * (width > 1) * digit[ends - 2] + 100 * (width > 2) * digit[ends - 3]
+                if (np.bincount(row_of, minlength=m) == m).all() and values.max() < m:
                     return values.reshape(m, m)
     rows = [_table_row(op, line, m) for line in lines]
     if len(rows) < m:
