@@ -88,7 +88,7 @@ class FiniteBiquandle:
 
     def _element(self, i: int) -> int:
         """i itself, if it is an element 0..m-1; numpy would read -1 as m - 1."""
-        if not 0 <= i < self.size:
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.size):
             raise ValueError(f"element {i} out of range 0..{self.size - 1}")
         return i
 

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+import types
 from itertools import product
 
 import numpy as np
@@ -87,9 +88,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             b.apply("xx", 0, 0)
 
-    @pytest.mark.parametrize("element", [-1, 5])
+    @pytest.mark.parametrize("element", [-1, 5, 1.5])
     def test_elements_outside_the_carrier_refused(self, element):
-        """Numpy would read -1 as row 4; 5 would escape as an IndexError."""
+        """Numpy would read -1 as row 4; 5 and 1.5 would escape as an IndexError."""
         b = finite_alexander_biquandle(5, 2, 3)
         message = f"^element {element} out of range 0..4$"
         for call in (lambda: b.apply("ur", element, 0), lambda: b.apply("ur", 0, element), lambda: b.label(element)):
@@ -319,6 +320,22 @@ CASE_KINDS = {
 
 
 class TestSweepLookups:
+    def test_axiom5_sweeps_make_seven_full_gathers(self, monkeypatch):
+        """Of the ten full-size lookups in each axiom 5 sweep block, the three
+        at the last variable read table rows and the other seven gather."""
+        m, sizes = 31, []
+
+        class Counted(finite._FlatTable):
+            def __init__(self, table):
+                super().__init__(table)
+                flat = self.flat
+                self.flat = types.SimpleNamespace(take=lambda i: sizes.append(i.size) or flat.take(i))
+
+        monkeypatch.setattr(finite, "_FlatTable", Counted)
+        assert check_axioms(finite_alexander_biquandle(m, 2, 3)).all_pass
+        assert finite._CHUNK_BUDGET >= m**3  # one block per sweep
+        assert sizes.count(m**3) == 2 * 7  # axiom 5 and its variant
+
     def test_lookup_at_a_value_varying_along_the_last_axis_is_a_gather(self):
         """In T[x, c] with x = T[a, c], x varies along c's axis, so no row of T
         holds the answer: the sweep reads it entry by entry, as the loops do."""
