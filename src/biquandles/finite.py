@@ -2,12 +2,12 @@
 
 A finite biquandle on m elements is one (4, m, m) int32 array, an m x m table
 per operation with entries in 0..m-1. The checker verifies every axiom by
-numpy broadcasting. Axioms 3 and 5 sweep every tuple; a lookup T[x, c] at
-the sweep's last variable c reads whole rows of the table (row x is the map
-c -> T[x, c]), T[c, y] whole rows of its transpose, and every other lookup
-is one gather from the flat table. In the existential axioms 1, 2 and 4 a
-witness x pins the one tuple it can witness, so they sweep the m^2 pairs
-(u, x), not a cube.
+numpy broadcasting. Axioms 3 and 5 hold everywhere on tables that are all
+affine over Z_m once they hold at 0 and at each unit vector, which settles
+the linear (Alexander) tables in O(m^2); on any other tables, or on a failure
+at one of those points, they sweep every tuple, each lookup one gather from
+the flat table. In the existential axioms 1, 2 and 4 a witness x pins the
+one tuple it can witness, so they sweep the m^2 pairs (u, x), not a cube.
 
 The table reader reads each operation's m rows in one byte-level numpy pass
 into an (m, m) array; a block that pass cannot read whole (other
@@ -29,7 +29,6 @@ Table file grammar (``#`` starts a comment):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -44,9 +43,9 @@ from .terms import OPS
 
 # Sweeps walk blocks of their first variable; each block's arrays (up to an
 # (a-block, b, c) cube) keep near this many entries, so that a block's
-# gathers and row reads stay in cache. Over 50 tables of 31-97 elements
-# (check_axioms, best of 5, five rounds on 2 vCPUs), 2^16 took 0.32-0.35 s,
-# 2^15 0.33-0.37 s, 2^17 0.36-0.39 s, 2^14 and 2^18 0.40-0.45 s.
+# gathers stay in cache. On the 26 swept tables (one changed entry, or
+# quaternionic) of 50 benchmark items (check_axioms, best of 5, five rounds
+# on 2 vCPUs), 2^16 took 0.22-0.29 s, 2^15 0.24-0.33 s, 2^17 0.25-0.33 s.
 _CHUNK_BUDGET = 1 << 16
 
 # Carriers above this need force=True; the cubes grow with the third power.
@@ -97,7 +96,7 @@ class FiniteBiquandle:
         for op in OPS:
             lines.append(op)
             for row in self.tables[op]:
-                lines.append(" ".join(str(int(v)) for v in row))
+                lines.append(" ".join(map(str, row.tolist())))
         return "\n".join(lines) + "\n"
 
 
@@ -128,40 +127,28 @@ class AxiomReport:
         return self.render()
 
 
-@functools.cache
-def _sweep_grids(m: int, arity: int) -> tuple[np.ndarray, ...]:
-    """One read-only index grid per variable of a sweep over 0..m-1, variable k
-    along axis k. Cached, so that a _FlatTable knows the last grid by identity."""
-    index = np.arange(m, dtype=np.int32)
-    grids = tuple(index.reshape([m if j == k else 1 for j in range(arity)]) for k in range(arity))
-    for grid in grids:
-        grid.flags.writeable = False
-    return grids
-
-
 class _FlatTable:
-    """An m x m table for the sweeps of check_axioms.
-
-    A lookup T[x, c] at the sweep's last variable c, with x constant along
-    c's axis, is one row read of the table: row x of T is the map
-    c -> T[x, c]. T[c, y] likewise reads rows of a contiguous transpose.
-    Every other lookup T[x, y] is one gather at x * m + y of the flat table.
-    """
+    """An m x m table for the sweeps of check_axioms: T[x, y] is one gather
+    at x * m + y of the flat table."""
 
     def __init__(self, table: np.ndarray):
         self.m = len(table)
-        self.rows = table
-        self.columns = np.ascontiguousarray(table.T)
         self.flat = table.ravel()
 
     def __getitem__(self, xy):
         x, y = xy
-        last = _sweep_grids(self.m, x.ndim)[-1]
-        if y is last and x.shape[-1] == 1:
-            return self.rows.take(x[..., 0], axis=0)
-        if x is last and y.ndim == x.ndim and y.shape[-1] == 1:
-            return self.columns.take(y[..., 0], axis=0)
         return self.flat.take(x * self.m + y)
+
+
+def _is_affine(table: np.ndarray) -> bool:
+    """Whether table[x, y] == (alpha x + beta y + gamma) mod m for every x, y,
+    with gamma = table[0, 0], alpha = table[1, 0] - gamma and beta =
+    table[0, 1] - gamma (indices mod m, so m = 1 has the one entry 0)."""
+    m = len(table)
+    gamma = int(table[0, 0])
+    alpha, beta = int(table[1 % m, 0]) - gamma, int(table[0, 1 % m]) - gamma
+    x, y = np.ogrid[:m, :m]
+    return bool(((alpha * x + beta * y + gamma) % m == table).all())
 
 
 def _failure(B: FiniteBiquandle, name: str, first, note: str = "") -> AxiomCheck:
@@ -176,9 +163,21 @@ def _check(B: FiniteBiquandle, name: str, arity: int, equations) -> AxiomCheck:
     array. Blocks of the first variable keep each array near _CHUNK_BUDGET
     entries. The first failing tuple of the first failing equation is
     reported with its equation number.
+
+    When all four tables are affine over Z_m (_is_affine), an equation lhs ==
+    rhs built only from table lookups and the variables is first evaluated at
+    0 and at each unit vector, mod m. Both sides are then compositions of
+    affine maps, so lhs - rhs is an affine map Z_m^arity -> Z_m, and an
+    affine map that vanishes at 0 and at every unit vector vanishes
+    everywhere. If every equation holds at those arity + 1 points, the axiom
+    passes without a sweep; otherwise the sweep runs and reports as above.
     """
     m = B.size
-    grids = _sweep_grids(m, arity)
+    if all(_is_affine(table) for table in B.tables.values()):
+        points = np.eye(arity + 1, arity, k=-1, dtype=np.int32) % m
+        if all(equation(*points.T).all() for equation in equations):
+            return AxiomCheck(name, True)
+    grids = np.ix_(*[np.arange(m, dtype=np.int32)] * arity)
     step = max(1, _CHUNK_BUDGET // m ** (arity - 1))
     for eq_no, equation in enumerate(equations, start=1):
         for lo in range(0, m, step):

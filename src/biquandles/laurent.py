@@ -77,6 +77,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self.terms.keys() <= {(0, 0)}:  # a constant equals its int, so hashes as it
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:

@@ -320,21 +320,39 @@ CASE_KINDS = {
 
 
 class TestSweepLookups:
-    def test_axiom5_sweeps_make_seven_full_gathers(self, monkeypatch):
-        """Of the ten full-size lookups in each axiom 5 sweep block, the three
-        at the last variable read table rows and the other seven gather."""
-        m, sizes = 31, []
+    def test_affine_tables_make_no_full_size_gather_in_axioms_3_and_5(self, monkeypatch):
+        """Linear tables pass axioms 3 and 5 on the certificate's arity + 1
+        points; the same tables with one changed entry sweep full blocks."""
+        m, gathers, sweep = 97, [], [None]
+        check = finite._check
+
+        def named_check(B, name, arity, equations):
+            sweep[0] = name
+            try:
+                return check(B, name, arity, equations)
+            finally:
+                sweep[0] = None
 
         class Counted(finite._FlatTable):
             def __init__(self, table):
                 super().__init__(table)
                 flat = self.flat
-                self.flat = types.SimpleNamespace(take=lambda i: sizes.append(i.size) or flat.take(i))
+                self.flat = types.SimpleNamespace(take=lambda i: gathers.append((sweep[0], i.size)) or flat.take(i))
 
+        monkeypatch.setattr(finite, "_check", named_check)
         monkeypatch.setattr(finite, "_FlatTable", Counted)
-        assert check_axioms(finite_alexander_biquandle(m, 2, 3)).all_pass
-        assert finite._CHUNK_BUDGET >= m**3  # one block per sweep
-        assert sizes.count(m**3) == 2 * 7  # axiom 5 and its variant
+        universal = {"axiom3": 2, "axiom5": 3, "axiom5.variant": 3}
+        B = finite_alexander_biquandle(m, 2, 3)
+        assert check_axioms(B).all_pass
+        assert {name for name, _ in gathers} == set(universal) | {None}
+        assert max(size for name, size in gathers if name) <= 4
+        tables = {op: table.copy() for op, table in B.tables.items()}
+        tables["ur"][40, 50] = (tables["ur"][40, 50] + 1) % m
+        gathers.clear()
+        check_axioms(FiniteBiquandle(tables))
+        for name, arity in universal.items():
+            block = min(m, finite._CHUNK_BUDGET // m ** (arity - 1)) * m ** (arity - 1)
+            assert (name, block) in gathers
 
     def test_lookup_at_a_value_varying_along_the_last_axis_is_a_gather(self):
         """In T[x, c] with x = T[a, c], x varies along c's axis, so no row of T
@@ -350,6 +368,38 @@ class TestSweepLookups:
         assert finite._check(B, "probe", 3, [probe]).passed
         wanted[5, 3, 2] = (wanted[5, 3, 2] + 1) % m
         assert finite._check(B, "probe", 3, [probe]).render() == "probe: fail [counterexample a=5 b=3 c=2 (equation 1)]"
+
+
+def affine_case(rng: random.Random, m: int) -> dict:
+    """Tables alpha x + beta y + gamma mod m. Each operation keeps the
+    coefficients of one linear table, so that some axioms pass, or draws any
+    residues, 0 and non-units among them."""
+    linear = linear_tables(rng, m)
+    tables = {}
+    for op in OPS:
+        if rng.random() < 0.6:
+            alpha, beta, gamma = linear[op][1 % m][0], linear[op][0][1 % m], 0
+        else:
+            alpha, beta, gamma = (rng.randrange(m) for _ in range(3))
+        tables[op] = [[(alpha * x + beta * y + gamma) % m for y in range(m)] for x in range(m)]
+    return tables
+
+
+class TestAffineCertificate:
+    def test_certified_reports_match_the_sweep_and_the_loops(self, monkeypatch):
+        """On affine tables with m 1-12 and on Alexander tables with changed
+        entries, check_axioms reports what it reports with the certificate
+        off, and what the per-tuple loops report."""
+        rng = random.Random("affine-certificate")
+        cases = [affine_case(rng, 1 + k % 12) for k in range(144)]
+        cases += [corrupted_linear_case(rng)[0] for _ in range(44)]
+        certified = [check_axioms(FiniteBiquandle(tables)).render() for tables in cases]
+        assert certified == [reference_report(tables, [str(i) for i in range(len(tables["ur"]))]) for tables in cases]
+        monkeypatch.setattr(finite, "_is_affine", lambda table: False)
+        assert certified == [check_axioms(FiniteBiquandle(tables)).render() for tables in cases]
+        verdicts = [line for report in certified[:144] for line in report.splitlines() if line.startswith(("axiom3", "axiom5"))]
+        assert sum("pass" in line for line in verdicts) > 100
+        assert sum("fail" in line for line in verdicts) > 100
 
 
 class TestReferenceChecker:

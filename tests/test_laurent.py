@@ -132,6 +132,17 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             divide_exact(ONE, ZERO)
 
+    @given(coefficients)
+    def test_constants_hash_as_their_int(self, c):
+        """A constant polynomial equals its int, so it must hash as that int."""
+        assert LaurentPoly.const(c) == c
+        assert hash(LaurentPoly.const(c)) == hash(c)
+
+    def test_constants_and_ints_share_set_members(self):
+        assert {3, LaurentPoly.const(3)} == {3}
+        assert len({0, ZERO, ONE, 1, S}) == 3
+        assert {LaurentPoly.const(-2): "x"}[-2] == "x"
+
     def test_min_degrees(self):
         p = LaurentPoly({(-2, 1): 1, (0, -3): 4})
         assert p.min_degrees() == (-2, -3)
