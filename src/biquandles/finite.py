@@ -2,11 +2,11 @@
 
 A finite biquandle on m elements is one (4, m, m) int32 array, an m x m table
 per operation with entries in 0..m-1. The checker verifies every axiom by
-numpy broadcasting. Axioms 3 and 5 hold everywhere on tables that are all
-affine over Z_m once they hold at 0 and at each unit vector, which settles
-the linear (Alexander) tables in O(m^2); on any other tables, or on a failure
-at one of those points, they sweep every tuple, each lookup one gather from
-the flat table. In the existential axioms 1, 2 and 4 a witness x pins the
+numpy broadcasting. Each table is decided once to be affine over Z_m or not;
+axioms 3 and 5 hold everywhere when the tables they read are affine and they
+hold at 0 and at each unit vector, which settles the linear (Alexander)
+tables in O(m^2); otherwise they sweep every tuple, each lookup one gather
+from the flat table. In the existential axioms 1, 2 and 4 a witness x pins the
 one tuple it can witness, so they sweep the m^2 pairs (u, x), not a cube.
 
 The table reader reads each operation's m rows in one byte-level numpy pass
@@ -129,26 +129,22 @@ class AxiomReport:
 
 class _FlatTable:
     """An m x m table for the sweeps of check_axioms: T[x, y] is one gather
-    at x * m + y of the flat table."""
+    at x * m + y of the flat table. affine is whether T[x, y] == (alpha x +
+    beta y + gamma) mod m for every x, y, with gamma = T[0, 0], alpha =
+    T[1, 0] - gamma and beta = T[0, 1] - gamma (indices mod m, so m = 1 has
+    the one entry 0); it is decided once, in O(m^2), when the view is made."""
 
     def __init__(self, table: np.ndarray):
-        self.m = len(table)
+        self.m = m = len(table)
         self.flat = table.ravel()
+        gamma = int(table[0, 0])
+        alpha, beta = int(table[1 % m, 0]) - gamma, int(table[0, 1 % m]) - gamma
+        x, y = np.ogrid[:m, :m]
+        self.affine = bool(((alpha * x + beta * y + gamma) % m == table).all())
 
     def __getitem__(self, xy):
         x, y = xy
         return self.flat.take(x * self.m + y)
-
-
-def _is_affine(table: np.ndarray) -> bool:
-    """Whether table[x, y] == (alpha x + beta y + gamma) mod m for every x, y,
-    with gamma = table[0, 0], alpha = table[1, 0] - gamma and beta =
-    table[0, 1] - gamma (indices mod m, so m = 1 has the one entry 0)."""
-    m = len(table)
-    gamma = int(table[0, 0])
-    alpha, beta = int(table[1 % m, 0]) - gamma, int(table[0, 1 % m]) - gamma
-    x, y = np.ogrid[:m, :m]
-    return bool(((alpha * x + beta * y + gamma) % m == table).all())
 
 
 def _failure(B: FiniteBiquandle, name: str, first, note: str = "") -> AxiomCheck:
@@ -156,24 +152,26 @@ def _failure(B: FiniteBiquandle, name: str, first, note: str = "") -> AxiomCheck
     return AxiomCheck(name, False, detail + note)
 
 
-def _check(B: FiniteBiquandle, name: str, arity: int, equations) -> AxiomCheck:
+def _check(B: FiniteBiquandle, name: str, arity: int, tables, equations) -> AxiomCheck:
     """Check that each equation holds for every arity-tuple (a, b, c)[:arity].
 
     Equations take one broadcast index grid per variable and return a boolean
-    array. Blocks of the first variable keep each array near _CHUNK_BUDGET
-    entries. The first failing tuple of the first failing equation is
-    reported with its equation number.
+    array; tables are the _FlatTable views their lookups read. Blocks of the
+    first variable keep each array near _CHUNK_BUDGET entries. The first
+    failing tuple of the first failing equation is reported with its
+    equation number.
 
-    When all four tables are affine over Z_m (_is_affine), an equation lhs ==
-    rhs built only from table lookups and the variables is first evaluated at
-    0 and at each unit vector, mod m. Both sides are then compositions of
-    affine maps, so lhs - rhs is an affine map Z_m^arity -> Z_m, and an
-    affine map that vanishes at 0 and at every unit vector vanishes
-    everywhere. If every equation holds at those arity + 1 points, the axiom
-    passes without a sweep; otherwise the sweep runs and reports as above.
+    When every view in tables is affine over Z_m, an equation lhs == rhs
+    built only from lookups in those tables and the variables is first
+    evaluated at 0 and at each unit vector, mod m. Both sides are then
+    compositions of affine maps, whatever the tables it does not read hold,
+    so lhs - rhs is an affine map Z_m^arity -> Z_m, and an affine map that
+    vanishes at 0 and at every unit vector vanishes everywhere. If every
+    equation holds at those arity + 1 points, the axiom passes without a
+    sweep; otherwise the sweep runs and reports as above.
     """
     m = B.size
-    if all(_is_affine(table) for table in B.tables.values()):
+    if all(table.affine for table in tables):
         points = np.eye(arity + 1, arity, k=-1, dtype=np.int32) % m
         if all(equation(*points.T).all() for equation in equations):
             return AxiomCheck(name, True)
@@ -233,7 +231,7 @@ def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
         _check_witness(B, "axiom1.variant", lambda a, x: (a,), lambda a, x: ll[ul[a, x], a] == a),
         _check_witness(B, "axiom2", lambda a, x: (a,), lambda a, x: (ll[a, x] == x) & (ul[x, a] == a)),
         _check_witness(B, "axiom2.variant", lambda a, x: (a,), lambda a, x: (lr[a, x] == x) & (ur[x, a] == a)),
-        _check(B, "axiom3", 2, [
+        _check(B, "axiom3", 2, (ur, lr, ul, ll), [
             lambda a, b: ll[lr[a, b], ur[b, a]] == a,
             lambda a, b: ul[ur[a, b], lr[b, a]] == a,
             lambda a, b: ur[ul[a, b], ll[b, a]] == a,
@@ -244,12 +242,12 @@ def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
                        lambda a, b, x: (ur[a, ll[b, x]] == x) & (lr[ll[b, x], a] == b)),
         _check_witness(B, "axiom4.variant", lambda b, x: (ur[x, b], b),
                        lambda a, b, x: (ul[a, lr[b, x]] == x) & (ll[lr[b, x], a] == b)),
-        _check(B, "axiom5", 3, [
+        _check(B, "axiom5", 3, (ur, lr), [
             lambda a, b, c: ur[ur[a, b], c] == ur[ur[a, lr[c, b]], ur[b, c]],
             lambda a, b, c: lr[lr[a, b], c] == lr[lr[a, ur[c, b]], lr[b, c]],
             lambda a, b, c: ur[lr[a, b], lr[c, ur[b, a]]] == lr[ur[a, c], ur[b, lr[c, a]]],
         ]),
-        _check(B, "axiom5.variant", 3, [
+        _check(B, "axiom5.variant", 3, (ul, ll), [
             lambda a, b, c: ul[ul[a, b], c] == ul[ul[a, ll[c, b]], ul[b, c]],
             lambda a, b, c: ll[ll[a, b], c] == ll[ll[a, ul[c, b]], ll[b, c]],
             lambda a, b, c: ul[ll[a, b], ll[c, ul[b, a]]] == ll[ul[a, c], ul[b, ll[c, a]]],

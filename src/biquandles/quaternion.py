@@ -32,9 +32,13 @@ class Quaternion:
     z: int = 0
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
 
     def __neg__(self) -> "Quaternion":
@@ -43,6 +47,8 @@ class Quaternion:
     def __mul__(self, other):
         if isinstance(other, int):
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
         w2, x2, y2, z2 = other.w, other.x, other.y, other.z
         return Quaternion(

@@ -322,14 +322,16 @@ CASE_KINDS = {
 class TestSweepLookups:
     def test_affine_tables_make_no_full_size_gather_in_axioms_3_and_5(self, monkeypatch):
         """Linear tables pass axioms 3 and 5 on the certificate's arity + 1
-        points; the same tables with one changed entry sweep full blocks."""
+        points. With one changed entry, axiom 3 and the axiom 5 that reads
+        the changed table sweep full blocks; the other axiom 5 stays on its
+        certificate."""
         m, gathers, sweep = 97, [], [None]
         check = finite._check
 
-        def named_check(B, name, arity, equations):
+        def named_check(B, name, arity, tables, equations):
             sweep[0] = name
             try:
-                return check(B, name, arity, equations)
+                return check(B, name, arity, tables, equations)
             finally:
                 sweep[0] = None
 
@@ -346,13 +348,15 @@ class TestSweepLookups:
         assert check_axioms(B).all_pass
         assert {name for name, _ in gathers} == set(universal) | {None}
         assert max(size for name, size in gathers if name) <= 4
-        tables = {op: table.copy() for op, table in B.tables.items()}
-        tables["ur"][40, 50] = (tables["ur"][40, 50] + 1) % m
-        gathers.clear()
-        check_axioms(FiniteBiquandle(tables))
-        for name, arity in universal.items():
-            block = min(m, finite._CHUNK_BUDGET // m ** (arity - 1)) * m ** (arity - 1)
-            assert (name, block) in gathers
+        for changed, certified in [("ur", "axiom5.variant"), ("ll", "axiom5")]:
+            tables = {op: table.copy() for op, table in B.tables.items()}
+            tables[changed][40, 50] = (tables[changed][40, 50] + 1) % m
+            gathers.clear()
+            check_axioms(FiniteBiquandle(tables))
+            for name, arity in universal.items():
+                block = min(m, finite._CHUNK_BUDGET // m ** (arity - 1)) * m ** (arity - 1)
+                assert ((name, block) in gathers) == (name != certified), (changed, name)
+            assert max(size for name, size in gathers if name == certified) <= 4
 
     def test_lookup_at_a_value_varying_along_the_last_axis_is_a_gather(self):
         """In T[x, c] with x = T[a, c], x varies along c's axis, so no row of T
@@ -365,9 +369,9 @@ class TestSweepLookups:
         B = FiniteBiquandle(tables)
         T = finite._FlatTable(B.tables["ur"])
         probe = lambda a, b, c: T[T[a, c], c] == wanted[a, b, c]  # noqa: E731
-        assert finite._check(B, "probe", 3, [probe]).passed
+        assert finite._check(B, "probe", 3, (T,), [probe]).passed
         wanted[5, 3, 2] = (wanted[5, 3, 2] + 1) % m
-        assert finite._check(B, "probe", 3, [probe]).render() == "probe: fail [counterexample a=5 b=3 c=2 (equation 1)]"
+        assert finite._check(B, "probe", 3, (T,), [probe]).render() == "probe: fail [counterexample a=5 b=3 c=2 (equation 1)]"
 
 
 def affine_case(rng: random.Random, m: int) -> dict:
@@ -385,6 +389,14 @@ def affine_case(rng: random.Random, m: int) -> dict:
     return tables
 
 
+class SweptTable(finite._FlatTable):
+    """A table view that is never affine, so that every universal axiom sweeps."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.affine = False
+
+
 class TestAffineCertificate:
     def test_certified_reports_match_the_sweep_and_the_loops(self, monkeypatch):
         """On affine tables with m 1-12 and on Alexander tables with changed
@@ -395,11 +407,31 @@ class TestAffineCertificate:
         cases += [corrupted_linear_case(rng)[0] for _ in range(44)]
         certified = [check_axioms(FiniteBiquandle(tables)).render() for tables in cases]
         assert certified == [reference_report(tables, [str(i) for i in range(len(tables["ur"]))]) for tables in cases]
-        monkeypatch.setattr(finite, "_is_affine", lambda table: False)
+        monkeypatch.setattr(finite, "_FlatTable", SweptTable)
         assert certified == [check_axioms(FiniteBiquandle(tables)).render() for tables in cases]
         verdicts = [line for report in certified[:144] for line in report.splitlines() if line.startswith(("axiom3", "axiom5"))]
         assert sum("pass" in line for line in verdicts) > 100
         assert sum("fail" in line for line in verdicts) > 100
+
+    def test_one_changed_operation_reports_match_the_sweep_and_the_loops(self, monkeypatch):
+        """Alexander tables with m 2-12 and one changed entry, in ur, lr, ul
+        and ll in turn: each axiom certifies on the tables it reads, so the
+        report is the loops' and the forced sweep's. Axiom 5 fails on many
+        changed ur or lr tables and its variant on many changed ul or ll
+        tables, so a table left out of either axiom's tuple would show."""
+        rng = random.Random("one-changed-operation")
+        cases = []
+        for k in range(400):
+            tables = linear_tables(rng, m := 2 + k % 11)
+            op, a, b = OPS[k % 4], rng.randrange(m), rng.randrange(m)
+            tables[op][a][b] = (tables[op][a][b] + rng.randrange(1, m)) % m
+            cases.append((op, tables))
+        certified = [check_axioms(FiniteBiquandle(tables)).render() for _, tables in cases]
+        assert certified == [reference_report(tables, [str(i) for i in range(len(tables["ur"]))]) for _, tables in cases]
+        monkeypatch.setattr(finite, "_FlatTable", SweptTable)
+        assert certified == [check_axioms(FiniteBiquandle(tables)).render() for _, tables in cases]
+        for ops, name in [(("ur", "lr"), "axiom5: fail"), (("ul", "ll"), "axiom5.variant: fail")]:
+            assert sum(name in report for (op, _), report in zip(cases, certified) if op in ops) > 100
 
 
 class TestReferenceChecker:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from biquandles import quaternion
 from biquandles.braids import random_braid
 from biquandles.errors import DomainError
+from biquandles.laurent import LaurentPoly
 from biquandles.quaternion import (
     I_Q,
     J_Q,
@@ -101,6 +102,24 @@ class TestQuaternionArithmetic:
     def test_integer_scaling(self):
         q = Quaternion(1, -2, 0, 3)
         assert 2 * q == q + q == q * 2
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            lambda: Quaternion(1) + 1,
+            lambda: Quaternion(1) - 1,
+            lambda: 1 - Quaternion(1),
+            lambda: Quaternion(1) * 1.5,
+            lambda: Quaternion(1) * LaurentPoly.const(1),
+            lambda: LaurentPoly.const(1) + 1.5,
+            lambda: LaurentPoly.const(1) * Quaternion(1),
+        ],
+        ids=["q+int", "q-int", "int-q", "q*float", "q*poly", "poly+float", "poly*q"],
+    )
+    def test_mixing_with_another_type_is_a_type_error(self, mix):
+        """Neither ring reads a foreign operand's fields: Python raises TypeError."""
+        with pytest.raises(TypeError):
+            mix()
 
     def test_reduce(self):
         assert Quaternion(-4, 3, 7, -1).reduce(3) == Quaternion(2, 0, 1, 2)
