@@ -7,10 +7,11 @@ Presentations and the braid matrices both come from the one upward fold
 ``braid_act_up``, over terms or (``linear_node``) coefficient rows; the downward
 action is the upward one of the inverse word, read from the other end.
 ``linearize_relations`` (lhs - rhs, by ``linearize``) serves presentations in both rings.
-``_postorder`` is the one walk over term DAGs: rendering, hashing, repr,
-equality and renaming-equality (both compare structure numbers from
-``_fold``), the generator check and ``linearize`` all take their node order
-from it, so each visits each distinct node once.
+``_postorder`` is the one walk over term DAGs, so each pass visits each
+distinct node once: the generator check, ``linearize``, and ``_fold``, which
+folds a list of roots in one walk for rendering, hashing, repr and equality.
+So a presentation renders and sizes in one fold, and renaming-equality keys
+each relation by the structure numbers of both its sides, from one fold.
 Parsed presentations are hash-consed: a subterm repeated anywhere in a file
 is one shared node, so the text's tree becomes a DAG. The parser also reads
 each distinct subterm's text once. It keeps each parsed subterm under its
@@ -66,25 +67,29 @@ def _postorder(roots) -> list["BQTerm"]:
     return order
 
 
-def _fold(term: "BQTerm", leaf, node):
-    """Bottom-up value of a term: leaf(t) at generators, node(t, left, right)
-    elsewhere. Each distinct node is evaluated once, so shared subterms cost
-    nothing extra.
-    """
+def _fold(roots, leaf, node) -> list:
+    """Each root's bottom-up value: leaf(t) at generators, node(t, left, right)
+    elsewhere. One ``_postorder`` walk serves all roots, so each distinct node,
+    shared within a root or between roots, is evaluated once."""
     done: dict[int, object] = {}
-    for t in _postorder([term]):
+    for t in _postorder(roots):
         done[id(t)] = leaf(t) if t.op is None else node(t, done[id(t.left)], done[id(t.right)])
-    return done[id(term)]
+    return [done[id(t)] for t in roots]
 
 
-def _structure_number(term: "BQTerm", key) -> int:
-    """``term``'s number as a tree: ``key`` numbers each generator name and each
+def _structure_numbers(roots, key) -> list[int]:
+    """Each root's number as a tree: ``key`` numbers each generator name and each
     (op, left number, right number). Under one injective ``key``, terms get
     equal numbers exactly when they are equal as trees, whatever their sharing.
     A lookup-only ``key`` that answers -1 for a missing entry gives -1 to every
     term with a subterm not numbered before.
     """
-    return _fold(term, lambda g: key(g.name), lambda t, a, b: key((t.op, a, b)))
+    return _fold(roots, lambda g: key(g.name), lambda t, a, b: key((t.op, a, b)))
+
+
+def _texts(roots) -> list[str]:
+    """Each root's text: a generator's name, or ``op(left,right)``."""
+    return _fold(roots, lambda g: g.name, lambda t, a, b: f"{t.op}({a},{b})")
 
 
 # Equality, hashing and repr walk the term with ``_fold``; the
@@ -100,19 +105,19 @@ class BQTerm:
         if other.__class__ is not self.__class__:
             return NotImplemented
         table: dict = {}  # self is numbered first; other only looks numbers up
-        return self is other or _structure_number(
-            self, lambda k: table.setdefault(k, len(table))
-        ) == _structure_number(other, lambda k: table.get(k, -1))
+        return self is other or _structure_numbers(
+            [self], lambda k: table.setdefault(k, len(table))
+        ) == _structure_numbers([other], lambda k: table.get(k, -1))
 
     def __hash__(self) -> int:
-        return _fold(self, lambda t: hash(t.name), lambda t, a, b: hash((t.op, a, b)))
+        return _fold([self], lambda t: hash(t.name), lambda t, a, b: hash((t.op, a, b)))[0]
 
     def __repr__(self) -> str:
         return _fold(
-            self,
+            [self],
             lambda t: f"BQTerm(op=None, name={t.name!r}, left=None, right=None)",
             lambda t, a, b: f"BQTerm(op={t.op!r}, name=None, left={a}, right={b})",
-        )
+        )[0]
 
     @classmethod
     def gen(cls, name: str) -> "BQTerm":
@@ -125,7 +130,7 @@ class BQTerm:
         return cls(op=op, left=left, right=right)
 
     def render(self) -> str:
-        return _fold(self, lambda t: t.name, lambda t, a, b: f"{t.op}({a},{b})")
+        return _texts([self])[0]
 
     def __str__(self) -> str:
         return self.render()
@@ -160,7 +165,7 @@ class BQRelation:
         return BQRelation(self.rhs, self.lhs)
 
     def render(self) -> str:
-        return f"{self.lhs.render()} = {self.rhs.render()}"
+        return "{} = {}".format(*_texts([self.lhs, self.rhs]))
 
     def __str__(self) -> str:
         return self.render()
@@ -180,25 +185,23 @@ class BQPresentation:
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         declared = set(self.generators)
-        for t in _postorder([side for rel in self.relations for side in (rel.lhs, rel.rhs)]):
+        for t in _postorder(self._sides()):
             if t.op is None and t.name not in declared:
                 raise ValueError(f"relation uses undeclared generator {t.name!r}")
 
+    def _sides(self) -> list[BQTerm]:
+        return [side for rel in self.relations for side in (rel.lhs, rel.rhs)]
+
     def render(self) -> str:
-        lines = ["gens " + " ".join(self.generators)]
-        lines.extend(f"rel {rel.render()}" for rel in self.relations)
-        return "\n".join(lines) + "\n"
+        sides = iter(_texts(self._sides()))
+        rels = "".join(f"rel {lhs} = {rhs}\n" for lhs, rhs in zip(sides, sides))
+        return f"gens {' '.join(self.generators)}\n{rels}"
 
     def render_size(self) -> int:
-        """``len(self.render())``, counted over the term DAGs without rendering:
-        the text can be exponentially longer than the DAG behind it.
-        """
-
-        def size(t: BQTerm) -> int:
-            return _fold(t, lambda g: len(g.name), lambda t, a, b: len(t.op) + len("(,)") + a + b)
-
-        head = len("gens " + " ".join(self.generators) + "\n")
-        return head + sum(len("rel  = \n") + size(rel.lhs) + size(rel.rhs) for rel in self.relations)
+        """``len(self.render())``, counted in one fold without rendering: the
+        text can be exponentially longer than the DAG behind it."""
+        sizes = _fold(self._sides(), lambda g: len(g.name), lambda t, a, b: len(t.op) + len("(,)") + a + b)
+        return len(f"gens {' '.join(self.generators)}\n") + len("rel  = \n") * len(self.relations) + sum(sizes)
 
     def __str__(self) -> str:
         return self.render()
@@ -503,11 +506,11 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
     onto the other. Relations are compared as unordered equations.
 
     The search tries every bijection, so it is limited to 8 generators.
-    Each relation is keyed by the sorted structure numbers of its sides. q's
-    terms are numbered once; each renaming of p only looks numbers up, so no
-    term is built or rendered per bijection and the table holds q's nodes only.
-    A bijection is dropped at p's first relation whose key q has no copy of
-    left.
+    Each relation is keyed by the sorted structure numbers of its sides, from
+    one fold of both. q's terms are numbered once; each renaming of p only
+    looks numbers up, so no term is built or rendered per bijection and the
+    table holds q's nodes only. A bijection is dropped at p's first relation
+    whose key q has no copy of left.
     """
     if len(p.generators) != len(q.generators):
         return False
@@ -520,7 +523,7 @@ def presentations_equal_up_to_renaming(p: BQPresentation, q: BQPresentation) -> 
     table: dict = {}
 
     def relation_key(rel: BQRelation, key) -> tuple[int, int]:
-        return tuple(sorted(_structure_number(side, key) for side in (rel.lhs, rel.rhs)))
+        return tuple(sorted(_structure_numbers([rel.lhs, rel.rhs], key)))
 
     target = Counter(relation_key(rel, lambda k: table.setdefault(k, len(table))) for rel in q.relations)
     for perm in permutations(q.generators):

@@ -69,7 +69,8 @@ class TestParseRender:
 
     def test_render_round_trip_examples(self):
         for text in ("n=2; v1 s1", "n=4; s1 -s3 v2 v2", "n=1;"):
-            assert render_braid_word(parse_braid_word(text)) == text
+            w = parse_braid_word(text)
+            assert render_braid_word(w) == str(w) == text
 
     @given(words())
     def test_round_trip_random(self, w):

@@ -63,6 +63,14 @@ class TestPresent:
         assert (code, out) == (2, "")
         assert err == "error: presentation text would be 2697591863 bytes, above the limit of 2^26\n"
 
+    def test_chain_word_is_sized_in_one_fold(self):
+        """The closure of s1 … s3799 shares its subterms between relations: sized
+        one side at a time, the refusal took about 15 s."""
+        proc, seconds = _run_child("present", "--braid", "n=3800; " + " ".join(f"s{i}" for i in range(1, 3800)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: presentation text would be 68603665 bytes, above the limit of 2^26\n"
+        assert seconds < 5
+
     def test_text_of_exactly_the_limit_is_printed(self, capsys, monkeypatch):
         text = "gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n"
         monkeypatch.setattr(cli, "MAX_PRESENT_BYTES", len(text))

@@ -1,4 +1,5 @@
-"""Every demo runs from a checkout and prints exactly its pinned text."""
+"""Every demo runs from a checkout, under ``-W error``, and prints exactly its
+pinned text."""
 
 import os
 import subprocess
@@ -118,7 +119,7 @@ verdict: nontrivial (rank 8 of 12, dim 4)
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_demo_output(name):
     result = subprocess.run(
-        [sys.executable, str(_ROOT / "demos" / f"{name}.py")],
+        [sys.executable, "-W", "error", str(_ROOT / "demos" / f"{name}.py")],
         capture_output=True,
         text=True,
         env=_ENV,

@@ -165,6 +165,7 @@ class TestChecker:
     def test_render_format(self):
         report = check_axioms(one_element())
         lines = report.render().splitlines()
+        assert str(report) == report.render()
         assert lines[0] == "axiom1: pass"
         assert len(lines) == 9
 

@@ -142,6 +142,7 @@ class TestArithmetic:
         assert {3, LaurentPoly.const(3)} == {3}
         assert len({0, ZERO, ONE, 1, S}) == 3
         assert {LaurentPoly.const(-2): "x"}[-2] == "x"
+        assert S != "s"
 
     def test_min_degrees(self):
         p = LaurentPoly({(-2, 1): 1, (0, -3): 4})
@@ -161,10 +162,12 @@ class TestFormatting:
 
     def test_unit_coefficients_elided(self):
         assert format_poly(S * T) == "s*t"
+        assert repr(S * T) == "LaurentPoly('s*t')"
 
     def test_ascending_t_then_s_order(self):
         p = ONE - S - T + S * T
         assert format_poly(p) == "1 - s - t + s*t"
+        assert 1 - S - T + S * T == p
 
     def test_negative_exponents(self):
         assert format_poly(LaurentPoly.monomial(1, -1, 0)) == "s^-1"
@@ -214,13 +217,14 @@ class TestMatrices:
         assert m == LaurentMatrix([[ONE, S]])
         assert m != LaurentMatrix([[ONE, ZERO]])
         assert m != [[ONE, S]]
+        assert repr(LaurentMatrix([[T, ONE - S * T], [ZERO, S]])) == "LaurentMatrix[t, 1 - s*t; 0, s]"
         with pytest.raises(TypeError):
             hash(m)
 
 
 class TestDeterminant:
     def test_empty_matrix(self):
-        assert determinant(LaurentMatrix([])) == ONE
+        assert determinant(LaurentMatrix([])) == cofactor_determinant(LaurentMatrix([])) == ONE
 
     def test_identity(self):
         assert determinant(LaurentMatrix.identity(4)) == ONE
@@ -228,6 +232,8 @@ class TestDeterminant:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             determinant(LaurentMatrix([[ONE, ZERO]]))
+        with pytest.raises(ValueError):
+            cofactor_determinant(LaurentMatrix([[ONE, ZERO]]))
 
     def test_two_by_two(self):
         m = LaurentMatrix([[S, T], [ONE, S]])

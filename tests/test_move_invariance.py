@@ -22,18 +22,16 @@ def coloring_count(B, w):
     """Points of X^n, X the carrier of B, where every closure relation holds.
 
     Each generator is an index grid along its own axis, and each node gathers
-    from its operation's table, so one fold evaluates a side at every point.
+    from its operation's table, so one fold evaluates every side at every point.
     """
     pres = presentation_from_braid(w)
     n, m = w.strands, B.size
     grids = {name: np.arange(m).reshape([m if j == k else 1 for j in range(n)]) for k, name in enumerate(pres.generators)}
-
-    def value(t):
-        return _fold(t, lambda g: grids[g.name], lambda t, a, b: B.tables[t.op][a, b])
-
+    sides = [side for rel in pres.relations for side in (rel.lhs, rel.rhs)]
+    values = iter(_fold(sides, lambda g: grids[g.name], lambda t, a, b: B.tables[t.op][a, b]))
     holds = np.ones([m] * n, dtype=bool)
-    for rel in pres.relations:
-        holds &= value(rel.lhs) == value(rel.rhs)
+    for lhs, rhs in zip(values, values):
+        holds &= lhs == rhs
     return int(holds.sum())
 
 

@@ -110,11 +110,12 @@ class TestQuaternionArithmetic:
             lambda: Quaternion(1) - 1,
             lambda: 1 - Quaternion(1),
             lambda: Quaternion(1) * 1.5,
+            lambda: 1.5 * Quaternion(1),
             lambda: Quaternion(1) * LaurentPoly.const(1),
             lambda: LaurentPoly.const(1) + 1.5,
             lambda: LaurentPoly.const(1) * Quaternion(1),
         ],
-        ids=["q+int", "q-int", "int-q", "q*float", "q*poly", "poly+float", "poly*q"],
+        ids=["q+int", "q-int", "int-q", "q*float", "float*q", "q*poly", "poly+float", "poly*q"],
     )
     def test_mixing_with_another_type_is_a_type_error(self, mix):
         """Neither ring reads a foreign operand's fields: Python raises TypeError."""

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from biquandles import alexander, quaternion
+from biquandles import alexander, quaternion, terms
 from biquandles.braids import invert_braid, parse_braid_word, random_braid
 from biquandles.errors import DomainError, ParseError
 from biquandles.laurent import ONE, ZERO, LaurentPoly, S, T
@@ -162,10 +162,11 @@ def _shared_dag(steps, roots, ring):
 class TestTerms:
     def test_helpers_coerce_strings(self):
         assert ur("a", "b") == BQTerm.node("ur", A, B)
+        assert ur("a", "b") != "ur(a,b)" and A != "a"
 
     def test_render_nested(self):
         t = ll(lr("a", "b"), ur("b", "a"))
-        assert t.render() == "ll(lr(a,b),ur(b,a))"
+        assert t.render() == str(t) == "ll(lr(a,b),ur(b,a))"
 
     def test_deep_terms_do_not_recurse(self):
         depth = 1200
@@ -190,7 +191,7 @@ class TestTerms:
 
     def test_relation_render_and_flip(self):
         rel = BQRelation(ur("a", "b"), A)
-        assert rel.render() == "ur(a,b) = a"
+        assert rel.render() == str(rel) == "ur(a,b) = a"
         assert rel.flip().render() == "a = ur(a,b)"
 
 
@@ -198,8 +199,19 @@ class TestPresentationText:
     def test_round_trip(self):
         text = "gens a b\nrel ur(a,b) = a\nrel lr(b,a) = b\n"
         pres = parse_presentation(text)
-        assert pres.render() == text
+        assert pres.render() == str(pres) == text
         assert parse_presentation(pres.render()) == pres
+
+    def test_each_render_is_one_walk(self, monkeypatch):
+        """A presentation renders and sizes in one walk over all its relation
+        sides, and a relation renders in one walk over both of its sides."""
+        pres = presentation_from_braid(parse_braid_word("n=3; s1 s2 -s1 v2"))
+        walks = []
+        monkeypatch.setattr(terms, "_postorder", lambda roots: walks.append(roots) or _postorder(roots))
+        for render in (pres.render, pres.render_size, pres.relations[0].render):
+            walks.clear()
+            render()
+            assert len(walks) == 1, render
 
     def test_comments_and_blank_lines(self):
         pres = parse_presentation("# closure of a two-strand word\ngens a b\n\nrel ur(a,b) = a # top\n")
@@ -632,7 +644,8 @@ class TestPresentationsFromBraids:
         assert peak < 5 * 2**20
 
     def test_render_size_counts_the_text(self):
-        for w in DOWN_WORDS + [random_braid(30, 12, seed=3)]:
+        chain = parse_braid_word("n=300; " + " ".join(f"s{i}" for i in range(1, 300)))
+        for w in DOWN_WORDS + [random_braid(30, 12, seed=3), chain]:
             for pres in (presentation_from_braid(w), presentation_from_braid_down(w)):
                 assert pres.render_size() == len(pres.render()), str(w)
 
