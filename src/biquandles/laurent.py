@@ -300,33 +300,33 @@ def _interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
     """Coefficients, lowest degree first, of the polynomials of degree at most
     D taking the values values[r, i, x] mod primes[r] at x = 0..D.
 
-    Newton's forward-difference form, f(x) = sum of (k-th difference at 0) / k!
-    times x(x-1)...(x-k+1), turned into monomials by Horner's rule: O(D^2)
-    work and O(D) memory per polynomial, no matrix inversion.
+    Lagrange form: the sum over nodes x of values[x] * w[x] * master(y) / (y - x),
+    master(y) = y(y-1)...(y-D), w[x] = 1 / ((-1)^(D-x) x! (D-x)!). Synthetic
+    division builds the quotients' coefficients top down, a column for all
+    nodes at once, in blocks of at most max(values.size, _BLOCK_ELEMENTS)
+    cells, each applied by one _matmul_mod, which keeps the int64 sums exact.
     """
     top = values.shape[-1] - 1
-    p3 = np.array(primes, dtype=np.int64)[:, None, None]
-    c = values.copy()
+    if top == 0:
+        return values
+    modulus, fact = prod(primes), [1]
     for k in range(1, top + 1):
-        c[..., k:] = c[..., k:] - c[..., k - 1 : -1]
-        # A difference at most doubles a magnitude: 2^26 * 2^32 stays exact.
-        if k % 32 == 0:
-            c[..., k:] %= p3
-    inv_fact = []
-    for q in primes:
-        fact = [1]
-        for k in range(1, top + 1):
-            fact.append(fact[-1] * k % q)
-        inv_fact.append([pow(f, -1, q) for f in fact])
-    c = c % p3 * np.array(inv_fact, dtype=np.int64)[:, None, :] % p3
-    # Horner from the top, highest degree first in ``out``.
-    out = np.zeros_like(c)
-    out[..., 0] = c[..., top]
-    for k in range(top - 1, -1, -1):
-        length = top - k
-        out[..., length] = c[..., k]
-        out[..., 1 : length + 1] -= k * out[..., :length]
-        out[..., 1 : length + 1] %= p3
+        fact.append(fact[-1] * k % modulus)
+    weight = [[pow((-1) ** (top - x) * fact[x] * fact[top - x], -1, q) for x in range(top + 1)] for q in primes]
+    p, nodes = np.array(primes, dtype=np.int64)[:, None], np.arange(top + 1)
+    scaled = values * np.array(weight, dtype=np.int64)[:, None] % p[:, None]
+    # master[:, i] is the coefficient of y^(D+1-i): the factor y only shifts, and the constant term is 0.
+    master = np.array([[1] + [0] * top] * len(primes), dtype=np.int64)
+    for j in range(1, top + 1):
+        master[:, 1 : j + 1] = (master[:, 1 : j + 1] - j * master[:, :j]) % p
+    width, column = max(values.size, _BLOCK_ELEMENTS) // (len(primes) * (top + 1)), 0
+    block = np.empty((len(primes), top + 1, min(width, top + 1)), dtype=np.int64)
+    out = np.empty_like(values)
+    for i in range(top + 1):
+        # column[:, x] is the coefficient of y^(D-i) in master(y) / (y - x).
+        block[..., i % width] = column = (master[:, i, None] + nodes * column) % p
+        if i % width == width - 1 or i == top:
+            out[..., i - i % width : i + 1] = _matmul_mod(scaled, block[..., : i % width + 1], p[:, None])
     return out[..., ::-1]
 
 
@@ -468,19 +468,19 @@ def determinant(m: LaurentMatrix) -> LaurentPoly:
        largest primes below 2^26, as many as make their product M exceed
        2B, and every grid determinant mod every prime is eliminated in
        batched int64 numpy arrays, block by block.
-    5. Newton interpolation along t, then along s, gives every coefficient
-       mod every prime, and the Chinese remainder theorem lifts it to the
-       symmetric range -M/2 < c < M/2, which holds it since |c| <= B. The
-       inverse of the kept map, (a, b) -> (a + k*b, b + l*a), takes each
-       exponent pair back.
+    5. Interpolation along t, then along s, each a blocked matmul against
+       the Lagrange basis (_interpolate), gives every coefficient mod every
+       prime, and the Chinese remainder theorem lifts it to the symmetric
+       range -M/2 < c < M/2, which holds it since |c| <= B. The inverse of
+       the kept map, (a, b) -> (a + k*b, b + l*a), takes each pair back.
 
     All arithmetic is on integers (int64 residues and Python ints); no float
     is used. Per block of size n, time grows as the number of primes times
-    (Ds+1)(Dt+1) times n^3 + Ds + Dt, memory as the number of primes times
-    (Ds+1)(Dt+1), with Ds and Dt the box of the block's kept map, after the
-    division by g and h. A box side is at most n times the side of the dense
-    array (primes x n^2 x the entries' s- and t-degrees + 1), so a block's
-    memory is a small multiple of it, capped at MAX_MATRIX_CELLS = 2^24 cells.
+    (Ds+1)(Dt+1) times n^3 + Ds + Dt, with Ds and Dt the box of the block's
+    kept map after the division by g and h. A box side is at most n times the
+    side of the dense array (primes x n^2 x the entries' s- and t-degrees + 1,
+    capped at MAX_MATRIX_CELLS = 2^24 cells), so the grid is no larger than
+    it, and no later array is larger than it or _BLOCK_ELEMENTS.
     """
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")

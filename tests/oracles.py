@@ -2,10 +2,13 @@
 
 ``bareiss_determinant`` is a fraction-free elimination over Z[s, t], slow and
 independent of ``laurent.determinant``'s evaluation mod primes; its exact
-division is ``divide_exact``.
+division is ``divide_exact``. ``newton_interpolate`` is the Newton-form
+reference for ``laurent._interpolate``, which works in Lagrange form.
 """
 
 from heapq import heapify, heappop, heappush
+
+import numpy as np
 
 from biquandles.laurent import ONE, LaurentMatrix, LaurentPoly
 
@@ -100,3 +103,37 @@ def bareiss_determinant(m: LaurentMatrix) -> LaurentPoly:
     if sign < 0:
         det = -det
     return det.scale_by_monomial(shift_i, shift_j)
+
+
+def newton_interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Coefficients, lowest degree first, of the polynomials of degree at most
+    D taking the values values[r, i, x] mod primes[r] at x = 0..D.
+
+    Newton's forward-difference form, f(x) = sum of (k-th difference at 0) / k!
+    times x(x-1)...(x-k+1), turned into monomials by Horner's rule: O(D^2)
+    work and O(D) memory per polynomial, no matrix inversion.
+    """
+    top = values.shape[-1] - 1
+    p3 = np.array(primes, dtype=np.int64)[:, None, None]
+    c = values.copy()
+    for k in range(1, top + 1):
+        c[..., k:] = c[..., k:] - c[..., k - 1 : -1]
+        # A difference at most doubles a magnitude: 2^26 * 2^32 stays exact.
+        if k % 32 == 0:
+            c[..., k:] %= p3
+    inv_fact = []
+    for q in primes:
+        fact = [1]
+        for k in range(1, top + 1):
+            fact.append(fact[-1] * k % q)
+        inv_fact.append([pow(f, -1, q) for f in fact])
+    c = c % p3 * np.array(inv_fact, dtype=np.int64)[:, None, :] % p3
+    # Horner from the top, highest degree first in ``out``.
+    out = np.zeros_like(c)
+    out[..., 0] = c[..., top]
+    for k in range(top - 1, -1, -1):
+        length = top - k
+        out[..., length] = c[..., k]
+        out[..., 1 : length + 1] -= k * out[..., :length]
+        out[..., 1 : length + 1] %= p3
+    return out[..., ::-1]

@@ -24,7 +24,7 @@ from biquandles.laurent import (
 )
 from biquandles.quaternion import Quaternion
 from biquandles.terms import parse_presentation
-from oracles import bareiss_determinant, divide_exact
+from oracles import bareiss_determinant, divide_exact, newton_interpolate
 
 exponents = st.integers(min_value=-3, max_value=3)
 coefficients = st.integers(min_value=-6, max_value=6)
@@ -351,7 +351,19 @@ class TestModularDeterminant:
         matrices.append(LaurentMatrix([[e, S], [S, e]]))
         expected = [determinant(m) for m in matrices]
         monkeypatch.setattr(laurent, "_BLOCK_ELEMENTS", 1)
+        products, blocks = [], []
+        interpolate, matmul = laurent._interpolate, laurent._matmul_mod
+
+        def counting(values, primes):
+            before = len(products)
+            out = interpolate(values, primes)
+            blocks.append(len(products) - before)
+            return out
+
+        monkeypatch.setattr(laurent, "_matmul_mod", lambda *args: products.append(None) or matmul(*args))
+        monkeypatch.setattr(laurent, "_interpolate", counting)
         assert [determinant(m) for m in matrices] == expected
+        assert max(blocks) > 1
 
     def test_sparse_entry_costs_two_points_not_its_degree(self):
         """A 1 x 1 block such as t^8000 + 1 is read off. The 2 x 2 block of
@@ -402,6 +414,42 @@ class TestModularDeterminant:
         f = LaurentPoly({(0, k): -1 for k in range(4500)})
         m = LaurentMatrix([[f, ONE], [T, ONE]])
         assert determinant(m) == cofactor_determinant(m) == f - T
+
+    def test_interpolation_matches_the_newton_form(self):
+        """Seeded residues, 0 and p - 1 among them, on 1 to 701 nodes and 1, 3 or 7 primes."""
+        rng = np.random.default_rng(34)
+        for top in (0, 1, 2, 5, 40, 200, 300, 700):
+            for count in (1, 3, 7):
+                primes = [laurent._prime(index) for index in range(count)]
+                p = np.array(primes, dtype=np.int64)[:, None]
+                values = rng.integers(0, 1 << 26, size=(count, 3, top + 1)) % p[:, None]
+                values[:, 0, ::2] = 0
+                values[:, 1, 1::2] = p - 1
+                values[:, 2, -1] = p[:, 0] - 1
+                assert np.array_equal(laurent._interpolate(values, primes), newton_interpolate(values, primes)), (top, count)
+
+    def test_interpolation_stays_within_the_block_cap(self, monkeypatch):
+        """The t-degree 4499 block: one prime, a 1 x 4 x 1 x 4500 dense array
+        and a 1 x 4500 box. A whole Lagrange basis along t would have 4500^2
+        cells. No operand of the interpolation's matmuls exceeds the grid or
+        _BLOCK_ELEMENTS, and no operand at all the dense array or the latter."""
+        f = LaurentPoly({(0, k): -1 for k in range(4500)})
+        m = LaurentMatrix([[f, ONE], [T, ONE]])
+        shapes, operands = [], []
+        evaluate, matmul = laurent._grid_determinants, laurent._matmul_mod
+
+        def recording(dense, *args):
+            grid = evaluate(dense, *args)
+            shapes.append((dense.shape, grid.shape, len(operands)))
+            return grid
+
+        monkeypatch.setattr(laurent, "_grid_determinants", recording)
+        monkeypatch.setattr(laurent, "_matmul_mod", lambda a, b, p: operands.extend((a.size, b.size)) or matmul(a, b, p))
+        assert determinant(m) == f - T
+        [(dense, grid, evaluated)] = shapes
+        assert dense == (1, 4, 1, 4500) and grid == (1, 1, 4500)
+        assert operands[evaluated:] and max(operands[evaluated:]) <= max(4500, laurent._BLOCK_ELEMENTS)
+        assert max(operands) <= max(4 * 4500, laurent._BLOCK_ELEMENTS)
 
 
 def permuted(rows, rng):
