@@ -2,12 +2,14 @@
 
 A finite biquandle on m elements is one (4, m, m) int32 array, an m x m table
 per operation with entries in 0..m-1. The checker verifies every axiom by
-numpy broadcasting. Each table is decided once to be affine over Z_m or not;
-axioms 3 and 5 hold everywhere when the tables they read are affine and they
-hold at 0 and at each unit vector, which settles the linear (Alexander)
-tables in O(m^2); otherwise they sweep every tuple, each lookup one gather
-from the flat table. In the existential axioms 1, 2 and 4 a witness x pins the
-one tuple it can witness, so they sweep the m^2 pairs (u, x), not a cube.
+numpy broadcasting. Each table is decided once to be affine or not, in the
+builder's form L x + R y + c on base-b digit vectors, m = b^d; axioms 3 and 5
+hold everywhere when the tables they read are affine over one (Z_b)^d and
+they hold at 0 and at each unit vector, which settles the linear (Alexander
+and quaternionic) tables in O(m^2); otherwise they sweep every tuple, each
+lookup one gather from the flat table. In the existential axioms 1, 2 and 4
+a witness x pins the one tuple it can witness, so they sweep the m^2 pairs
+(u, x), not a cube.
 
 The table reader reads each operation's m rows in one byte-level numpy pass
 into an (m, m) array; a block that pass cannot read whole (other
@@ -129,18 +131,25 @@ class AxiomReport:
 
 class _FlatTable:
     """An m x m table for the sweeps of check_axioms: T[x, y] is one gather
-    at x * m + y of the flat table. affine is whether T[x, y] == (alpha x +
-    beta y + gamma) mod m for every x, y, with gamma = T[0, 0], alpha =
-    T[1, 0] - gamma and beta = T[0, 1] - gamma (indices mod m, so m = 1 has
-    the one entry 0); it is decided once, in O(m^2), when the view is made."""
+    at x * m + y of the flat table. weights are those of the first order
+    m = b^d (d = 1, 2, ...) in which T is an _affine_table, or None. reads
+    holds T's digits at 0, at each (unit, 0) and at each (0, unit): c, then
+    L's and R's columns plus c. T is rebuilt from them and compared, O(m^2)."""
 
     def __init__(self, table: np.ndarray):
         self.m = m = len(table)
         self.flat = table.ravel()
-        gamma = int(table[0, 0])
-        alpha, beta = int(table[1 % m, 0]) - gamma, int(table[0, 1 % m]) - gamma
-        x, y = np.ogrid[:m, :m]
-        self.affine = bool(((alpha * x + beta * y + gamma) % m == table).all())
+        self.weights = None
+        for d in range(1, m.bit_length() + 1):
+            base = round(m ** (1 / d))
+            if base ** d == m:
+                weights = base ** np.arange(d - 1, -1, -1)
+                at = (weights % m).tolist()  # the unit vectors, all 0 for m = 1
+                reads = table[[0, *at, *[0] * d], [0, *[0] * d, *at]] // weights[:, None] % base
+                c = reads[:, :1]
+                if (_affine_table(base, weights, reads[:, 1 : d + 1] - c, reads[:, d + 1 :] - c, c) == table).all():
+                    self.weights = tuple(weights.tolist())
+                    break
 
     def __getitem__(self, xy):
         x, y = xy
@@ -161,18 +170,20 @@ def _check(B: FiniteBiquandle, name: str, arity: int, tables, equations) -> Axio
     failing tuple of the first failing equation is reported with its
     equation number.
 
-    When every view in tables is affine over Z_m, an equation lhs == rhs
-    built only from lookups in those tables and the variables is first
-    evaluated at 0 and at each unit vector, mod m. Both sides are then
-    compositions of affine maps, whatever the tables it does not read hold,
-    so lhs - rhs is an affine map Z_m^arity -> Z_m, and an affine map that
-    vanishes at 0 and at every unit vector vanishes everywhere. If every
-    equation holds at those arity + 1 points, the axiom passes without a
-    sweep; otherwise the sweep runs and reports as above.
+    When every view in tables is affine in one digit order m = b^d, read
+    each element as its digit vector in (Z_b)^d. Both sides of an equation
+    built only from lookups in those tables and the variables are then
+    compositions of affine maps, whatever the other tables hold, so lhs -
+    rhs is affine on (Z_b)^(arity d), and an affine map that vanishes at 0
+    and at every unit vector (one variable at one digit weight, the others
+    0, mod m for m = 1) vanishes everywhere. If every equation holds at
+    those 1 + arity d points, the axiom passes without a sweep; otherwise
+    the sweep runs and reports as above.
     """
-    m = B.size
-    if all(table.affine for table in tables):
-        points = np.eye(arity + 1, arity, k=-1, dtype=np.int32) % m
+    m, weights = B.size, tables[0].weights
+    if weights and all(table.weights == weights for table in tables):
+        d = len(weights)
+        points = np.eye(1 + arity * d, arity * d, k=-1, dtype=np.int64).reshape(-1, arity, d) @ weights % m
         if all(equation(*points.T).all() for equation in equations):
             return AxiomCheck(name, True)
     grids = np.ix_(*[np.arange(m, dtype=np.int32)] * arity)
@@ -255,22 +266,21 @@ def check_axioms(B: FiniteBiquandle, force: bool = False) -> AxiomReport:
     ))
 
 
+def _affine_table(base: int, weights: np.ndarray, L, R, c) -> np.ndarray:
+    """The table of op(x, y) = L x + R y + c over (Z_base)^d: element k is the
+    vector k // weights % base of its digits, weights = (base^(d-1), ..., 1);
+    L and R are d x d integer matrices, c an integer or d-vector."""
+    digits = np.arange(base ** len(weights)) // weights[:, None] % base  # one row per digit
+    left, right = np.dot(L, digits) % base, (np.dot(R, digits) + np.reshape(c, (-1, 1))) % base
+    wrap = np.arange(2 * base) % base  # the residue of a sum of two residues
+    return sum((wrap * w)[x[:, None] + y] for x, y, w in zip(left, right, weights))
+
+
 def _linear_biquandle(base: int, maps: dict, labels: list[str] | None = None) -> FiniteBiquandle:
-    """Tables of op(a, b) = L a + R b on base-``base`` digit vectors.
-
-    ``maps`` sends each operation to its (L, R) pair of d x d integer
-    matrices; element k of 0..base^d - 1 is the vector of its d digits, most
-    significant first.
-    """
-    d = len(maps["ur"][0])
-    weights = base ** np.arange(d - 1, -1, -1)
-    digits = np.arange(base ** d)[:, None] // weights % base
-
-    def table(L, R):
-        left, right = (digits @ np.array(M, dtype=np.int64).T for M in (L, R))
-        return (left[:, None, :] + right[None, :, :]) % base @ weights
-
-    return FiniteBiquandle({op: table(*maps[op]) for op in OPS}, labels)
+    """Tables of op(a, b) = L a + R b on base-``base`` digit vectors; ``maps``
+    sends each operation to its (L, R) pair (see _affine_table)."""
+    weights = base ** np.arange(len(maps["ur"][0]) - 1, -1, -1)
+    return FiniteBiquandle({op: _affine_table(base, weights, *maps[op], 0) for op in OPS}, labels)
 
 
 def finite_alexander_biquandle(m: int, s: int, t: int) -> FiniteBiquandle:

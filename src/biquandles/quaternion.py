@@ -124,13 +124,21 @@ def _check_modulus(p: int) -> None:
 
 @dataclass
 class QRelationSet:
-    """Linear relations with quaternion coefficients."""
+    """Linear relations with quaternion coefficients. Rows name only declared
+    generators, and the names are unique, as in BQPresentation."""
 
     generators: list[str]
     rows: list[dict[str, Quaternion]]
 
     def __post_init__(self):
         self.generators = list(self.generators)
+        declared = set(self.generators)
+        if len(declared) != len(self.generators):
+            raise ValueError("duplicate generator names")
+        for row in self.rows:
+            for name in row:
+                if name not in declared:
+                    raise ValueError(f"row uses undeclared generator {name!r}")
         self.rows = [
             {name: q for name, q in row.items() if q} for row in self.rows
         ]

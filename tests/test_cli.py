@@ -357,6 +357,24 @@ class TestForcedCapInAChild:
         lines = proc.stdout.splitlines()
         assert len(lines) == 9 and all(line.endswith(": pass") for line in lines)
 
+    def test_forced_quaternionic_carrier_at_the_cap_is_checked_in_seconds(self):
+        """The 625-element quaternionic tables are affine over (Z_5)^4, so the
+        passing axiom5.variant is certified, not swept over 625^3 tuples."""
+        proc, seconds = _run_child("axioms", "--quaternionic", "5", "--force")
+        assert seconds < 5
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "axiom1: pass",
+            "axiom1.variant: pass",
+            "axiom2: pass",
+            "axiom2.variant: fail [counterexample a=k]",
+            "axiom3: fail [counterexample a=0 b=k (equation 1)]",
+            "axiom4: fail [counterexample a=0 b=k]",
+            "axiom4.variant: fail [counterexample a=0 b=k]",
+            "axiom5: fail [counterexample a=0 b=0 c=k (equation 1)]",
+            "axiom5.variant: pass",
+        ]
+
 
 class TestQcheck:
     def test_kishino_golden(self, capsys):

@@ -320,30 +320,37 @@ CASE_KINDS = {
 }
 
 
+def record_gathers(monkeypatch) -> list:
+    """Make check_axioms record each gather from a table view as (name, size),
+    name being the universal axiom that makes it, or None; return the record."""
+    gathers, sweep = [], [None]
+    check = finite._check
+
+    def named_check(B, name, arity, tables, equations):
+        sweep[0] = name
+        try:
+            return check(B, name, arity, tables, equations)
+        finally:
+            sweep[0] = None
+
+    class Counted(finite._FlatTable):
+        def __init__(self, table):
+            super().__init__(table)
+            flat = self.flat
+            self.flat = types.SimpleNamespace(take=lambda i: gathers.append((sweep[0], i.size)) or flat.take(i))
+
+    monkeypatch.setattr(finite, "_check", named_check)
+    monkeypatch.setattr(finite, "_FlatTable", Counted)
+    return gathers
+
+
 class TestSweepLookups:
     def test_affine_tables_make_no_full_size_gather_in_axioms_3_and_5(self, monkeypatch):
         """Linear tables pass axioms 3 and 5 on the certificate's arity + 1
         points. With one changed entry, axiom 3 and the axiom 5 that reads
         the changed table sweep full blocks; the other axiom 5 stays on its
         certificate."""
-        m, gathers, sweep = 97, [], [None]
-        check = finite._check
-
-        def named_check(B, name, arity, tables, equations):
-            sweep[0] = name
-            try:
-                return check(B, name, arity, tables, equations)
-            finally:
-                sweep[0] = None
-
-        class Counted(finite._FlatTable):
-            def __init__(self, table):
-                super().__init__(table)
-                flat = self.flat
-                self.flat = types.SimpleNamespace(take=lambda i: gathers.append((sweep[0], i.size)) or flat.take(i))
-
-        monkeypatch.setattr(finite, "_check", named_check)
-        monkeypatch.setattr(finite, "_FlatTable", Counted)
+        m, gathers = 97, record_gathers(monkeypatch)
         universal = {"axiom3": 2, "axiom5": 3, "axiom5.variant": 3}
         B = finite_alexander_biquandle(m, 2, 3)
         assert check_axioms(B).all_pass
@@ -358,6 +365,16 @@ class TestSweepLookups:
                 block = min(m, finite._CHUNK_BUDGET // m ** (arity - 1)) * m ** (arity - 1)
                 assert ((name, block) in gathers) == (name != certified), (changed, name)
             assert max(size for name, size in gathers if name == certified) <= 4
+
+    def test_quaternionic_axiom5_variant_passes_on_thirteen_points(self, monkeypatch):
+        """The quaternionic ul and ll tables for p = 3 are affine over (Z_3)^4
+        in base-3 digit order, not over Z_81, so the passing axiom5.variant is
+        decided at 0 and at the 3 * 4 (variable, digit weight) points."""
+        B = finite_quaternionic_biquandle(3)
+        assert [finite._FlatTable(B.tables[op]).weights for op in OPS] == [(27, 9, 3, 1)] * 4
+        gathers = record_gathers(monkeypatch)
+        assert "axiom5.variant: pass" in check_axioms(B).render().splitlines()
+        assert 0 < max(size for name, size in gathers if name == "axiom5.variant") <= 13
 
     def test_lookup_at_a_value_varying_along_the_last_axis_is_a_gather(self):
         """In T[x, c] with x = T[a, c], x varies along c's axis, so no row of T
@@ -395,10 +412,77 @@ class SweptTable(finite._FlatTable):
 
     def __init__(self, table):
         super().__init__(table)
-        self.affine = False
+        self.weights = None
+
+
+# Digit orders (base, d) with base^d <= 81: the carriers of digit_affine_case.
+DIGIT_ORDERS = [(1, 1), (2, 1), (5, 1), (12, 1), (16, 1), (2, 2), (3, 2), (4, 2), (6, 2), (9, 2),
+                (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+
+
+def digit_affine_case(rng: random.Random, base: int, d: int) -> dict:
+    """Tables L x + R y + c over (Z_base)^d, as finite._affine_table builds
+    them. Each operation keeps its rule in one Alexander biquandle over
+    (Z_base)^d, with S = A^i and T = A^j for A a permutation matrix times a
+    diagonal of units, so that some axioms pass, or draws any matrices and
+    offset, zero and singular ones among them. One case in four then has
+    one changed entry."""
+    weights, eye = base ** np.arange(d - 1, -1, -1), np.eye(d, dtype=np.int64)
+    units = [rng.choice([u for u in range(1, base + 1) if math.gcd(u, base) == 1]) for _ in range(d)]
+    order = rng.sample(range(d), d)
+    A, A_inv = np.diag(units) @ eye[order], eye[order].T @ np.diag([pow(u, -1, base) for u in units])
+    i, j = rng.randint(1, 3), rng.randint(1, 3)
+    power = lambda M, k: np.linalg.matrix_power(M, k) % base  # noqa: E731
+    S, T, S_inv, T_inv = power(A, i), power(A, j), power(A_inv, i), power(A_inv, j)
+    rules = {"ur": (T, eye - S @ T), "lr": (S, 0 * eye), "ul": (T_inv, eye - S_inv @ T_inv), "ll": (S_inv, 0 * eye)}
+    draw = lambda: np.array([[rng.randrange(base) for _ in range(d)] for _ in range(d)])  # noqa: E731
+    tables = {}
+    for op in OPS:
+        kind = rng.randrange(6)
+        if kind < 3:
+            (L, R), c = rules[op], 0
+        else:
+            L, R, c = draw(), draw(), [rng.randrange(base) for _ in range(d)]
+            if kind == 4:
+                L, R = 0 * L, 0 * R
+            if kind == 5:  # rank at most 1
+                L = np.outer(L[0], L[-1])
+        tables[op] = finite._affine_table(base, weights, L, R, c).tolist()
+    if rng.random() < 0.25 and (m := base**d) > 1:
+        op, a, b = rng.choice(OPS), rng.randrange(m), rng.randrange(m)
+        tables[op][a][b] = (tables[op][a][b] + rng.randrange(1, m)) % m
+    return tables
 
 
 class TestAffineCertificate:
+    def test_digit_order_reports_match_the_sweep_and_the_loops(self, monkeypatch):
+        """On tables affine over (Z_b)^d, d 1-4 and b^d <= 81, with any
+        multipliers and offsets and some with one changed entry, plus the
+        quaternionic tables for p = 3, check_axioms reports what it reports
+        with the certificate off, and for m <= 16 what the loops report."""
+        rng = random.Random("digit-order-certificate")
+        cases = [digit_affine_case(rng, base, d) for _ in range(10) for base, d in DIGIT_ORDERS]
+        cases.append({op: table.tolist() for op, table in finite_quaternionic_biquandle(3).tables.items()})
+        certified = [check_axioms(FiniteBiquandle(tables)).render() for tables in cases]
+        small = [(tables, report) for tables, report in zip(cases, certified) if len(tables["ur"]) <= 16]
+        assert [report for _, report in small] == [
+            reference_report(tables, [str(i) for i in range(len(tables["ur"]))]) for tables, _ in small
+        ]
+        views = [{op: finite._FlatTable(np.array(tables[op])).weights for op in OPS} for tables in cases]
+        monkeypatch.setattr(finite, "_FlatTable", SweptTable)
+        assert certified == [check_axioms(FiniteBiquandle(tables)).render() for tables in cases]
+        verdicts = [line for report in certified for line in report.splitlines() if line.startswith(("axiom3", "axiom5"))]
+        assert sum("pass" in line for line in verdicts) > 100
+        assert sum("fail" in line for line in verdicts) > 100
+        # passes and failures the certificate meets in a digit order with d > 1
+        digit_order = [
+            f"{name}: pass" in report.splitlines()
+            for weights, report in zip(views, certified)
+            for name, ops in [("axiom3", OPS), ("axiom5", ("ur", "lr")), ("axiom5.variant", ("ul", "ll"))]
+            if len({weights[op] for op in ops}) == 1 and len(weights[ops[0]] or ()) > 1
+        ]
+        assert sum(digit_order) > 20 and digit_order.count(False) > 50
+
     def test_certified_reports_match_the_sweep_and_the_loops(self, monkeypatch):
         """On affine tables with m 1-12 and on Alexander tables with changed
         entries, check_axioms reports what it reports with the certificate
@@ -413,6 +497,19 @@ class TestAffineCertificate:
         verdicts = [line for report in certified[:144] for line in report.splitlines() if line.startswith(("axiom3", "axiom5"))]
         assert sum("pass" in line for line in verdicts) > 100
         assert sum("fail" in line for line in verdicts) > 100
+
+    def test_tables_affine_in_different_orders_are_swept(self):
+        """ur(a, b) = a is affine in every order, so its view keeps Z_4;
+        lr(x, y) = x + R y over (Z_2)^2, R keeping y's high digit, is affine
+        only there. Axiom 5's lr equation holds wherever c is 0 or 1 but fails
+        at c = 2, so the two views must not share a certificate."""
+        projection = [[a] * 4 for a in range(4)]
+        lr = finite._affine_table(2, np.array([2, 1]), np.eye(2, dtype=np.int64), [[1, 0], [0, 0]], 0).tolist()
+        tables = {"ur": projection, "lr": lr, "ul": projection, "ll": projection}
+        assert [finite._FlatTable(np.array(tables[op])).weights for op in ("ur", "lr")] == [(1,), (2, 1)]
+        report = check_axioms(FiniteBiquandle(tables)).render()
+        assert "axiom5: fail [counterexample a=0 b=0 c=2 (equation 2)]" in report.splitlines()
+        assert report == reference_report(tables, [str(i) for i in range(4)])
 
     def test_one_changed_operation_reports_match_the_sweep_and_the_loops(self, monkeypatch):
         """Alexander tables with m 2-12 and one changed entry, in ur, lr, ul

@@ -254,6 +254,25 @@ class TestRelationSetEquality:
             hash(rset)
 
 
+class TestRelationSetGenerators:
+    def test_undeclared_generator_is_refused(self):
+        """A row naming b over the generators [a] once rendered as (1)*a = 0,
+        dropping the b term, and module_is_trivial raised a bare KeyError."""
+        with pytest.raises(ValueError, match="^row uses undeclared generator 'b'$"):
+            QRelationSet(["a"], [{"a": ONE_Q, "b": I_Q}])
+        with pytest.raises(ValueError, match="^row uses undeclared generator 'b'$"):
+            QRelationSet(["a"], [{"a": ONE_Q}, {"b": ZERO_Q}])
+
+    def test_duplicate_generator_names_are_refused(self):
+        with pytest.raises(ValueError, match="^duplicate generator names$"):
+            QRelationSet(["a", "b", "a"], [{"a": ONE_Q}])
+
+    def test_declared_generators_still_build(self):
+        rset = QRelationSet(("a", "b"), [{"b": I_Q}, {}])
+        assert rset.render() == "(i)*b = 0\n0 = 0"
+        assert module_is_trivial(rset, 3)[1].verdict_line() == "nontrivial (rank 4 of 8, dim 4)"
+
+
 class TestScalarRestriction:
     def test_identity_coefficient_gives_identity_block(self):
         rset = QRelationSet(["a"], [{"a": ONE_Q}])
